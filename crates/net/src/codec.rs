@@ -176,8 +176,27 @@ impl FrameAssembler {
         pool: &mut BufferPool,
         out: &mut Vec<Vec<u8>>,
     ) -> ReadStatus {
+        self.read_at_most(stream, pool, out, usize::MAX)
+    }
+
+    /// [`FrameAssembler::read_available`], but stops at the frame
+    /// boundary after `max` completed payloads. The bytes not yet read
+    /// stay in the socket, so a level-triggered poller reports it
+    /// readable again; stopping there also answers
+    /// [`ReadStatus::WouldBlock`].
+    pub fn read_at_most(
+        &mut self,
+        stream: &mut impl Read,
+        pool: &mut BufferPool,
+        out: &mut Vec<Vec<u8>>,
+        max: usize,
+    ) -> ReadStatus {
         self.generation = self.generation.wrapping_add(1);
+        let first = out.len();
         loop {
+            if out.len() - first >= max {
+                return ReadStatus::WouldBlock;
+            }
             match &mut self.state {
                 ReadState::Prefix { buf, got } => {
                     debug_assert!(*got < 4);
@@ -628,5 +647,30 @@ mod tests {
         assert_eq!(pool.pooled(), 2);
         pool.put(vec![0; 64]); // over the capacity bound: dropped
         assert_eq!(pool.pooled(), 2);
+    }
+
+    #[test]
+    fn read_at_most_stops_at_a_frame_boundary() {
+        let payloads: Vec<Vec<u8>> = (0..5)
+            .map(|i| Frame::MetricsQuery.encode_with_corr(Some(i)))
+            .collect();
+        let mut bytes = Vec::new();
+        for p in &payloads {
+            bytes.extend_from_slice(&(p.len() as u32).to_be_bytes());
+            bytes.extend_from_slice(p);
+        }
+        let mut stream = io::Cursor::new(bytes);
+        let mut asm = FrameAssembler::new(1024);
+        let mut pool = BufferPool::default();
+        let mut out = Vec::new();
+        for round in 0..2 {
+            let status = asm.read_at_most(&mut stream, &mut pool, &mut out, 2);
+            assert!(matches!(status, ReadStatus::WouldBlock), "round {round}");
+            assert!(asm.mid_frame_since().is_none(), "stopped mid-frame");
+        }
+        assert_eq!(out.len(), 4);
+        let status = asm.read_at_most(&mut stream, &mut pool, &mut out, 2);
+        assert!(matches!(status, ReadStatus::Closed));
+        assert_eq!(out, payloads);
     }
 }

@@ -3,10 +3,11 @@
 //! to tens of thousands of concurrent connections.
 //!
 //! The blocking server (`awsad_serve::server::Server`) spends one OS
-//! thread per connection — perfect clarity, bounded scale. This crate
-//! keeps every byte of its protocol behavior (frames, correlation-id
-//! echo, error codes and messages, `frame_deadline`, TTL eviction,
-//! snapshot/restore) and replaces only the hosting model:
+//! thread per connection — perfect clarity, bounded scale. Both servers
+//! are I/O adapters over the same [`awsad_serve::service::SessionService`],
+//! which owns every request rule (error codes and messages, quotas,
+//! TTL eviction, snapshot/restore, replication), so this crate
+//! replaces only the hosting model:
 //!
 //! * [`sys`] — a std-only readiness abstraction: raw `epoll` on Linux
 //!   through thin syscall shims (no `libc` crate — std already links
@@ -18,15 +19,20 @@
 //!   reply writes ([`codec::WriteQueue`] → `writev(2)`).
 //! * [`server`] — [`server::NetServer`]: a small pool of I/O shards,
 //!   each owning a listener share, a connection slab, and its **own**
-//!   [`awsad_runtime::DetectionEngine`], with sessions pinned to
-//!   shards by a stable function of the session id. No cross-shard
-//!   locks anywhere on the tick path; the one cross-shard operation
-//!   is the `MetricsQuery` merge.
+//!   session service and [`awsad_runtime::DetectionEngine`], with
+//!   sessions pinned to shards by the service's wire-id allocation. No
+//!   cross-shard locks anywhere on the tick path; the cross-shard
+//!   operations are the `MetricsQuery` merge and the server-wide
+//!   replica store. A read decodes at most [`REQUEST_QUEUE_CAP`]
+//!   requests per connection, and requests are served in a loop, so a
+//!   deep pipeline neither grows the queue nor the stack.
 //!
 //! Every existing client — `awsad_serve::client::Client`,
 //! `awsad_serve::reconnect::ReconnectingClient` — works against this
-//! server unmodified; the `awsad-testkit` six-path differential
-//! oracle holds both servers to byte-identical outcome streams.
+//! server unmodified; `tests/conformance.rs` holds both servers to
+//! byte-identical replies for every request kind and typed error, and
+//! the `awsad-testkit` six-path differential oracle to byte-identical
+//! outcome streams.
 //!
 //! # Quickstart
 //!

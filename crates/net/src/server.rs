@@ -3,7 +3,7 @@
 //!
 //! # Shard model
 //!
-//! Every shard owns, exclusively and without locks:
+//! Every shard owns, exclusively:
 //!
 //! * a clone of the listening socket (all clones share one file
 //!   description, so the kernel load-balances accepts across whichever
@@ -11,16 +11,18 @@
 //! * a slab of connection states with incremental frame decode
 //!   ([`crate::codec::FrameAssembler`]) and vectored reply writes
 //!   ([`crate::codec::WriteQueue`]);
-//! * its **own** [`DetectionEngine`], so a session's ticks never cross
-//!   a shard boundary or contend on a cross-shard lock;
-//! * a shard-local session registry keyed by wire session id.
+//! * its **own** [`SessionService`] — and with it its own
+//!   [`awsad_runtime::DetectionEngine`] and session registry — so a
+//!   session's ticks never cross a shard boundary.
 //!
-//! Sessions are pinned to shards by a stable function of the session
-//! id: shard `k` of `n` allocates ids `k, k + n, k + 2n, …`, so
-//! `id % n` names the owning shard forever. Since a session is only
-//! reachable from the connection that opened it, and a connection
-//! lives on exactly one shard, no request can ever need a session
-//! another shard owns — the pinning is total, not a cache policy.
+//! The shard is only an I/O adapter: every request rule (ownership,
+//! quotas, TTL eviction, replication, error codes and messages) lives
+//! in the service, the same code the blocking server runs. Sessions are
+//! pinned to shards by the service's wire-id allocation: shard `k` of
+//! `n` hands out ids `k, k + n, k + 2n, …`, so `id % n` names the
+//! owning shard forever. Since a session is only reachable from the
+//! connection that opened it, and a connection lives on exactly one
+//! shard, no request can ever need a session another shard owns.
 //!
 //! # Readiness state machine
 //!
@@ -30,43 +32,32 @@
 //! read → decode → enqueue requests → serve → queue replies → flush;
 //! a `Tick` batch parks as the connection's single in-flight engine
 //! batch, and the engine's drain doorbell
-//! ([`DetectionEngine::set_drain_notifier`] writing one byte into the
-//! shard's wake pipe) re-enters the loop to collect outcomes — the
-//! event loop never blocks on the engine.
+//! ([`awsad_runtime::DetectionEngine::set_drain_notifier`] writing one
+//! byte into the shard's wake pipe) re-enters the loop to poll it —
+//! the event loop never blocks on the engine. Serving is one loop
+//! (collect the parked batch, serve the next request, repeat), so a
+//! deep pipeline of requests that complete at once does not grow the
+//! stack.
 //!
-//! Backpressure is the request-queue bound: a connection with
-//! [`REQUEST_QUEUE_CAP`] undecoded requests stops being read, which
-//! fills the kernel socket buffer, which stalls the sender — TCP
-//! doing the throttling, exactly like the blocking server's bounded
-//! engine queue but one layer down.
-//!
-//! # Protocol fidelity
-//!
-//! The wire behavior is the blocking server's, bit for bit: same
-//! frames, same correlation-id echo, same error codes and messages,
-//! same `frame_deadline` slow-loris bound, same TTL eviction
-//! semantics, same session-ownership rules. Every existing client
-//! works unmodified; the six-path differential oracle in
-//! `awsad-testkit` holds the two servers to byte-identical streams.
+//! Backpressure is the request-queue bound: a read decodes at most
+//! [`REQUEST_QUEUE_CAP`] requests per connection, and a connection
+//! holding that many stops being read, which fills the kernel socket
+//! buffer, which stalls the sender — TCP doing the throttling.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use awsad_linalg::{Matrix, Vector};
-use awsad_runtime::{DetectionEngine, RuntimeMetrics, SessionHandle, Tick, TickOutcome};
-use awsad_serve::server::{
-    session_parts_for_spec, wire_metrics, ReplicationUpdate, ServerConfig, TransportMetrics,
-};
-use awsad_serve::wire::{
-    ErrorCode, Frame, RingMember, SessionSpec, WireOutcome, WireSessionState, WireTick,
-};
+use awsad_runtime::RuntimeMetrics;
+use awsad_serve::server::{ServerConfig, TransportMetrics};
+use awsad_serve::service::{PendingBatch, Served, SessionService};
+use awsad_serve::wire::{Envelope, Frame};
 
 use crate::codec::{BufferPool, FrameAssembler, ReadStatus, WriteQueue};
 use crate::sys::{Interest, Poller, PollerBackend};
@@ -135,87 +126,14 @@ impl NetServerConfig {
     }
 }
 
-/// Per-shard transport counters; summed across shards for
-/// `MetricsQuery` and [`NetServer::transport_metrics`].
-#[derive(Debug, Default)]
-struct ShardStats {
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    decode_errors: AtomicU64,
-    connections_opened: AtomicU64,
-    connections_dropped: AtomicU64,
-    sessions_evicted: AtomicU64,
-    recalibrations_rejected: AtomicU64,
-    partial_frame_resumes: AtomicU64,
-}
-
-/// The slice of a shard other threads may see: its engine (for
-/// cross-shard metrics merges) and its counters.
-struct ShardShared {
-    engine: DetectionEngine,
-    stats: ShardStats,
-}
-
-/// One backup copy held for a remote primary's session, keyed by the
-/// cluster-wide replica key. Server-wide (any shard's connection may
-/// replicate or promote it), mirroring the blocking server.
-struct ReplicaEntry {
-    generation: u64,
-    spec: SessionSpec,
-    state: WireSessionState,
-}
-
-/// State shared by all shards and the [`NetServer`] handle.
-struct NetShared {
-    config: NetServerConfig,
-    shards: Vec<Arc<ShardShared>>,
-    shutdown: AtomicBool,
-    /// Backup copies this server holds for remote primaries'
-    /// sessions, waiting to be promoted on failover.
-    replicas: Mutex<HashMap<u64, ReplicaEntry>>,
-    /// Highest ring epoch accepted via [`Frame::RingUpdate`].
-    ring_epoch: AtomicU64,
-}
-
-impl NetShared {
-    /// Cross-shard engine metrics: per-shard snapshots folded with
-    /// [`RuntimeMetrics::merged`].
-    fn merged_engine_metrics(&self) -> RuntimeMetrics {
-        self.shards.iter().fold(RuntimeMetrics::zero(), |acc, s| {
-            acc.merged(&s.engine.metrics())
-        })
-    }
-
-    /// Cross-shard transport counters, summed.
-    fn summed_transport(&self) -> TransportMetrics {
-        let mut t = TransportMetrics::default();
-        for s in &self.shards {
-            t.frames_in += s.stats.frames_in.load(Ordering::Relaxed);
-            t.frames_out += s.stats.frames_out.load(Ordering::Relaxed);
-            t.decode_errors += s.stats.decode_errors.load(Ordering::Relaxed);
-            t.connections_opened += s.stats.connections_opened.load(Ordering::Relaxed);
-            t.connections_dropped += s.stats.connections_dropped.load(Ordering::Relaxed);
-            t.sessions_evicted += s.stats.sessions_evicted.load(Ordering::Relaxed);
-            t.recalibrations_rejected += s.stats.recalibrations_rejected.load(Ordering::Relaxed);
-        }
-        t
-    }
-
-    /// Total frames completed mid-frame across all shards.
-    fn summed_resumes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.stats.partial_frame_resumes.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
 /// A running readiness-based detection server. Dropping it (or
 /// calling [`NetServer::shutdown`]) wakes every shard and joins them.
 pub struct NetServer {
     local_addr: SocketAddr,
     backend: PollerBackend,
-    shared: Arc<NetShared>,
+    /// One service per shard; any of them reports server-wide metrics.
+    services: Vec<Arc<SessionService>>,
+    shutdown: Arc<AtomicBool>,
     /// One write end per shard wake pipe, for shutdown nudges.
     wakers: Vec<UnixStream>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -226,7 +144,7 @@ impl std::fmt::Debug for NetServer {
         f.debug_struct("NetServer")
             .field("local_addr", &self.local_addr)
             .field("backend", &self.backend.name())
-            .field("shards", &self.shared.shards.len())
+            .field("shards", &self.services.len())
             .finish_non_exhaustive()
     }
 }
@@ -243,27 +161,17 @@ impl NetServer {
         listener.set_nonblocking(true)?;
 
         let nshards = config.resolved_shards();
-        let shards: Vec<Arc<ShardShared>> = (0..nshards)
-            .map(|_| {
-                Arc::new(ShardShared {
-                    engine: DetectionEngine::new(config.base.engine.clone()),
-                    stats: ShardStats::default(),
-                })
-            })
-            .collect();
-        let shared = Arc::new(NetShared {
-            config,
-            shards,
-            shutdown: AtomicBool::new(false),
-            replicas: Mutex::new(HashMap::new()),
-            ring_epoch: AtomicU64::new(0),
-        });
-
+        let services: Vec<Arc<SessionService>> =
+            SessionService::for_server(config.base.clone(), nshards, true)
+                .into_iter()
+                .map(Arc::new)
+                .collect();
+        let shutdown = Arc::new(AtomicBool::new(false));
         let mut wakers = Vec::with_capacity(nshards);
         let mut threads = Vec::with_capacity(nshards);
         let mut backend = PollerBackend::Poll;
-        for idx in 0..nshards {
-            let poller = Poller::new(shared.config.force_poll)?;
+        for (idx, service) in services.iter().enumerate() {
+            let poller = Poller::new(config.force_poll)?;
             backend = poller.backend();
             let (wake_rx, wake_tx) = UnixStream::pair()?;
             wake_rx.set_nonblocking(true)?;
@@ -272,18 +180,26 @@ impl NetServer {
             // outcomes become collectable. Nonblocking — a full pipe
             // already holds a pending wake, so a dropped byte is fine.
             let doorbell = wake_tx.try_clone()?;
-            shared.shards[idx].engine.set_drain_notifier(move || {
+            service.engine().set_drain_notifier(move || {
                 let _ = (&doorbell).write(&[1]);
             });
             wakers.push(wake_tx);
-            let shard = Shard::new(
-                idx,
-                nshards,
-                Arc::clone(&shared),
+            let shard = Shard {
+                service: Arc::clone(service),
+                shutdown: Arc::clone(&shutdown),
+                max_connections: config.max_connections_per_shard,
                 poller,
-                listener.try_clone()?,
+                listener: listener.try_clone()?,
                 wake_rx,
-            );
+                conns: Vec::new(),
+                free_slots: Vec::new(),
+                conns_active: 0,
+                next_gen: 0,
+                pool: BufferPool::default(),
+                payloads: Vec::new(),
+                events: Vec::new(),
+                last_sweep: Instant::now(),
+            };
             threads.push(
                 thread::Builder::new()
                     .name(format!("awsad-net-shard-{idx}"))
@@ -294,7 +210,8 @@ impl NetServer {
         Ok(NetServer {
             local_addr,
             backend,
-            shared,
+            services,
+            shutdown,
             wakers,
             threads: Mutex::new(threads),
         })
@@ -312,31 +229,31 @@ impl NetServer {
 
     /// Number of I/O shards (each with its own engine).
     pub fn shards(&self) -> usize {
-        self.shared.shards.len()
+        self.services.len()
     }
 
     /// Cross-shard engine counters, folded with
     /// [`RuntimeMetrics::merged`].
     pub fn engine_metrics(&self) -> RuntimeMetrics {
-        self.shared.merged_engine_metrics()
+        self.services[0].engine_metrics()
     }
 
     /// Cross-shard transport counters, summed.
     pub fn transport_metrics(&self) -> TransportMetrics {
-        self.shared.summed_transport()
+        self.services[0].transport_metrics()
     }
 
     /// Frames that arrived torn across readiness wakeups and were
     /// completed by mid-frame resume, across all shards.
     pub fn partial_frame_resumes(&self) -> u64 {
-        self.shared.summed_resumes()
+        self.services[0].partial_frame_resumes()
     }
 
     /// Stops every shard: connections close, sessions drop (queued
     /// ticks still drain on each shard's engine), threads join.
     /// Idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.store(true, Ordering::SeqCst);
         for w in &self.wakers {
             let _ = (&*w).write(&[1]);
         }
@@ -358,95 +275,61 @@ impl Drop for NetServer {
     }
 }
 
-/// One open session on a shard. Unlike the blocking server's
-/// registry entry there are no locks: the owning shard thread is the
-/// only toucher.
-struct NetSession {
-    /// Token of the connection that opened it; any other connection's
-    /// lookup answers `UnknownSession`, exactly as if absent.
-    owner: u64,
-    state_dim: usize,
-    input_dim: usize,
-    /// Retained for replication egress: the backup rebuilds the
-    /// detector stack from this spec at promotion time.
-    spec: SessionSpec,
-    last_used: Instant,
-    /// An engine batch is in flight — the TTL sweep must not evict
-    /// (the analogue of the blocking server's `try_lock` skip).
-    busy: bool,
-    handle: SessionHandle,
-    outcomes: mpsc::Receiver<TickOutcome>,
-}
-
-/// A `Tick` batch submitted to the engine, awaiting its outcomes. At
-/// most one exists per connection, which preserves the blocking
-/// server's strict request→reply ordering.
-struct PendingBatch {
-    /// Wire session id the reply will name.
-    session: u64,
-    corr: Option<u64>,
-    expected: usize,
-    outcomes: Vec<WireOutcome>,
-    since: Instant,
-}
-
 /// Per-connection state in the shard slab.
 struct Conn {
     stream: TcpStream,
+    /// Poller token, also the connection id the service knows it by.
     token: u64,
     assembler: FrameAssembler,
-    /// `assembler.resumed_frames()` already published to the shard
+    /// `assembler.resumed_frames()` already published to the service
     /// counter (delta accounting).
     resumes_reported: u64,
     writes: WriteQueue,
-    requests: VecDeque<awsad_serve::wire::Envelope>,
-    pending: Option<PendingBatch>,
+    requests: VecDeque<Envelope>,
+    /// The in-flight `Tick` batch and its request's correlation id. At
+    /// most one, so nothing overtakes an unanswered batch.
+    pending: Option<(PendingBatch, Option<u64>)>,
     /// Interest currently registered with the poller.
     interest: Interest,
     /// Peer closed its write side cleanly at a frame boundary; serve
     /// what's queued, flush, then close without counting a drop.
     read_eof: bool,
     /// Fatal protocol error: the error frame is queued; close once it
-    /// flushes (or the flush fails).
+    /// flushes (or the flush fails). Its drop is already counted.
     poisoned: bool,
-    /// This connection's teardown has already been counted in
-    /// `connections_dropped`.
-    drop_counted: bool,
-    /// Sessions currently owned (O(1) session-limit check).
-    sessions_open: usize,
 }
 
-/// What serving one request produced.
-//
-// `Frame` is large (MetricsReply carries every runtime counter), but a
-// `Served` lives only from `serve_frame` to the match in the caller —
-// boxing the frame would buy nothing except an allocation per request
-// on the serve hot path.
-#[allow(clippy::large_enum_variant)]
-enum Served {
-    /// An immediate reply frame.
-    Reply(Frame),
-    /// A `Tick` batch went to the engine; the reply forms when the
-    /// outcomes arrive.
-    Batch(PendingBatch),
+impl Conn {
+    /// Queues a reply, echoing the request's correlation id (legacy
+    /// corr-less requests get legacy corr-less replies).
+    fn push_reply(&mut self, reply: &Frame, corr: Option<u64>) {
+        self.writes.push_frame(reply.encode_with_corr(corr));
+    }
+
+    /// Marks the connection fatally desynchronized: queues the
+    /// explanatory error frame (best effort — delivery races the peer)
+    /// and flags it for close-after-flush.
+    fn poison(&mut self, service: &SessionService, err: &dyn std::fmt::Display) {
+        if !self.poisoned {
+            self.push_reply(&service.protocol_violation(err), None);
+            self.poisoned = true;
+            self.requests.clear();
+        }
+    }
 }
 
 /// One I/O shard: poller, listener clone, wake pipe, connection slab,
-/// session registry, buffer pool — all exclusively owned.
+/// buffer pool — all exclusively owned — over its own service.
 struct Shard {
-    nshards: usize,
-    shared: Arc<NetShared>,
-    shard: Arc<ShardShared>,
+    service: Arc<SessionService>,
+    shutdown: Arc<AtomicBool>,
+    max_connections: usize,
     poller: Poller,
     listener: TcpListener,
     wake_rx: UnixStream,
     conns: Vec<Option<Conn>>,
     free_slots: Vec<usize>,
     conns_active: usize,
-    sessions: HashMap<u64, NetSession>,
-    /// Next wire session id: starts at `idx`, steps by `nshards`, so
-    /// `id % nshards == idx` pins the session here for life.
-    next_session_id: u64,
     /// Generation stamp for connection tokens.
     next_gen: u64,
     pool: BufferPool,
@@ -458,33 +341,8 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(
-        idx: usize,
-        nshards: usize,
-        shared: Arc<NetShared>,
-        poller: Poller,
-        listener: TcpListener,
-        wake_rx: UnixStream,
-    ) -> Shard {
-        let shard = Arc::clone(&shared.shards[idx]);
-        Shard {
-            nshards,
-            shared,
-            shard,
-            poller,
-            listener,
-            wake_rx,
-            conns: Vec::new(),
-            free_slots: Vec::new(),
-            conns_active: 0,
-            sessions: HashMap::new(),
-            next_session_id: idx as u64,
-            next_gen: 0,
-            pool: BufferPool::default(),
-            payloads: Vec::new(),
-            events: Vec::new(),
-            last_sweep: Instant::now(),
-        }
+    fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
     }
 
     fn run(mut self) {
@@ -500,7 +358,7 @@ impl Shard {
             return;
         }
         let mut events = Vec::new();
-        while !self.shared.shutdown.load(Ordering::SeqCst) {
+        while !self.shutting_down() {
             if self.poller.wait(&mut events, SWEEP_INTERVAL).is_err() {
                 // EBADF-class failures are unrecoverable for the loop;
                 // EINTR already surfaces as an empty wait.
@@ -532,9 +390,7 @@ impl Shard {
         // Shutdown: deregister and drop everything; each session
         // handle's Drop closes it and the engine drains what's queued.
         for slot in 0..self.conns.len() {
-            if self.conns[slot].is_some() {
-                self.close_conn(slot, false);
-            }
+            self.close_conn(slot, false);
         }
     }
 
@@ -545,21 +401,14 @@ impl Shard {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.conns_active >= self.shared.config.max_connections_per_shard {
-                        self.shard
-                            .stats
-                            .connections_dropped
-                            .fetch_add(1, Ordering::Relaxed);
-                        drop(stream);
+                    if self.conns_active >= self.max_connections {
+                        self.service.connection_dropped();
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    self.shard
-                        .stats
-                        .connections_opened
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.service.connection_opened();
                     self.insert_conn(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -578,11 +427,20 @@ impl Shard {
         });
         self.next_gen = self.next_gen.wrapping_add(1);
         let token = (slot as u64 + TOKEN_CONN_BASE) | ((self.next_gen & 0xffff_ffff) << 32);
-        let fd = stream.as_raw_fd();
-        let conn = Conn {
+        if self
+            .poller
+            .register(stream.as_raw_fd(), token, Interest::READ)
+            .is_err()
+        {
+            // Poller rejected the fd; the stream drops and closes.
+            self.service.connection_dropped();
+            self.free_slots.push(slot);
+            return;
+        }
+        self.conns[slot] = Some(Conn {
             stream,
             token,
-            assembler: FrameAssembler::new(self.shared.config.base.max_frame_len),
+            assembler: FrameAssembler::new(self.service.config().max_frame_len),
             resumes_reported: 0,
             writes: WriteQueue::default(),
             requests: VecDeque::new(),
@@ -590,19 +448,7 @@ impl Shard {
             interest: Interest::READ,
             read_eof: false,
             poisoned: false,
-            drop_counted: false,
-            sessions_open: 0,
-        };
-        if self.poller.register(fd, token, Interest::READ).is_err() {
-            // Poller rejected the fd; the stream drops and closes.
-            self.shard
-                .stats
-                .connections_dropped
-                .fetch_add(1, Ordering::Relaxed);
-            self.free_slots.push(slot);
-            return;
-        }
-        self.conns[slot] = Some(conn);
+        });
         self.conns_active += 1;
     }
 
@@ -623,37 +469,30 @@ impl Shard {
         // Readable work first: even a connection the peer already
         // hung up on may hold complete frames worth serving.
         self.read_ready(slot);
-        if self.conns[slot].is_some() {
-            self.advance(slot);
-        }
+        self.advance(slot);
     }
 
-    /// Reads whatever the socket has, decodes completed frames into
-    /// the request queue, and classifies the stop condition.
+    /// Reads up to the request-queue bound, decodes completed frames
+    /// into the request queue, and classifies the stop condition.
     fn read_ready(&mut self, slot: usize) {
         let conn = self.conns[slot].as_mut().expect("live conn");
-        if conn.poisoned || conn.read_eof || conn.requests.len() >= REQUEST_QUEUE_CAP {
+        let room = REQUEST_QUEUE_CAP.saturating_sub(conn.requests.len());
+        if conn.poisoned || conn.read_eof || room == 0 {
             return;
         }
         let status =
             conn.assembler
-                .read_available(&mut conn.stream, &mut self.pool, &mut self.payloads);
+                .read_at_most(&mut conn.stream, &mut self.pool, &mut self.payloads, room);
         let resumes = conn.assembler.resumed_frames();
         if resumes != conn.resumes_reported {
-            self.shard
-                .stats
-                .partial_frame_resumes
-                .fetch_add(resumes - conn.resumes_reported, Ordering::Relaxed);
+            self.service.frames_resumed(resumes - conn.resumes_reported);
             conn.resumes_reported = resumes;
         }
         for payload in self.payloads.drain(..) {
             if !conn.poisoned {
                 match Frame::decode_enveloped(&payload) {
-                    Ok(env) => {
-                        self.shard.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-                        conn.requests.push_back(env);
-                    }
-                    Err(err) => poison(conn, &self.shard.stats, &err),
+                    Ok(env) => conn.requests.push_back(env),
+                    Err(err) => conn.poison(&self.service, &err),
                 }
             }
             self.pool.put(payload);
@@ -661,39 +500,34 @@ impl Shard {
         match status {
             ReadStatus::WouldBlock => {}
             ReadStatus::Closed => conn.read_eof = true,
-            ReadStatus::Protocol(err) => {
-                if !conn.poisoned {
-                    poison(conn, &self.shard.stats, &err);
-                }
-            }
+            ReadStatus::Protocol(err) => conn.poison(&self.service, &err),
             ReadStatus::Io(_) => {
-                let count = !self.shared.shutdown.load(Ordering::SeqCst);
+                let count = !self.shutting_down();
                 self.close_conn(slot, count);
             }
         }
     }
 
-    /// Serves queued requests, collects a completed pending batch,
-    /// flushes, updates poller interest, and closes if the connection
-    /// has nothing left to live for.
+    /// Serves what can be served, flushes, updates poller interest,
+    /// and closes the connection if it has nothing left to live for.
     fn advance(&mut self, slot: usize) {
-        self.serve_requests(slot);
-        if self.conns[slot].is_none() {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        serve_requests(&self.service, conn);
+        if !conn.writes.is_empty() && conn.writes.flush(&mut conn.stream).is_err() {
+            let count = !self.shutting_down();
+            self.close_conn(slot, count);
             return;
         }
-        self.flush(slot);
-        if self.conns[slot].is_none() {
-            return;
-        }
-        let conn = self.conns[slot].as_mut().expect("live conn");
         let done_writing = conn.writes.is_empty();
-        if conn.poisoned && done_writing {
-            // Error frame delivered; teardown was already counted.
-            self.close_conn(slot, false);
-            return;
-        }
-        if conn.read_eof && done_writing && conn.requests.is_empty() && conn.pending.is_none() {
-            // Clean close at a frame boundary: not a drop.
+        // A poisoned connection closes once its error frame is out
+        // (its drop is already counted); a clean EOF at a frame
+        // boundary is not a drop.
+        if done_writing
+            && (conn.poisoned
+                || (conn.read_eof && conn.requests.is_empty() && conn.pending.is_none()))
+        {
             self.close_conn(slot, false);
             return;
         }
@@ -702,129 +536,24 @@ impl Shard {
             writable: !done_writing,
         };
         if want != conn.interest {
-            let fd = conn.stream.as_raw_fd();
-            let token = conn.token;
             conn.interest = want;
+            let (fd, token) = (conn.stream.as_raw_fd(), conn.token);
             if self.poller.reregister(fd, token, want).is_err() {
-                self.close_conn(slot, !self.shared.shutdown.load(Ordering::SeqCst));
+                let count = !self.shutting_down();
+                self.close_conn(slot, count);
             }
         }
     }
 
-    /// Serves requests in arrival order until the queue empties or a
-    /// `Tick` batch parks as the in-flight pending batch (strict
-    /// request→reply ordering: nothing overtakes an unanswered Tick).
-    fn serve_requests(&mut self, slot: usize) {
-        loop {
-            let env = {
-                let conn = self.conns[slot].as_mut().expect("live conn");
-                if conn.pending.is_some() || conn.poisoned {
-                    return;
-                }
-                match conn.requests.pop_front() {
-                    Some(env) => env,
-                    None => return,
-                }
-            };
-            let token = self.conns[slot].as_ref().expect("live conn").token;
-            match self.serve_frame(token, env.frame) {
-                Served::Reply(reply) => self.queue_reply(slot, &reply, env.corr),
-                Served::Batch(mut batch) => {
-                    batch.corr = env.corr;
-                    if let Some(sess) = self.sessions.get_mut(&batch.session) {
-                        sess.busy = true;
-                    }
-                    self.conns[slot].as_mut().expect("live conn").pending = Some(batch);
-                    // Outcomes may already be waiting (the doorbell
-                    // can beat us here); collect eagerly.
-                    self.pump_conn(slot);
-                }
-            }
-        }
-    }
-
-    /// Encodes and queues a reply, counting `frames_out` before the
-    /// bytes can possibly hit the wire (same observer contract as the
-    /// blocking server). The request's correlation id is echoed;
-    /// legacy corr-less requests get legacy corr-less replies.
-    fn queue_reply(&mut self, slot: usize, reply: &Frame, corr: Option<u64>) {
-        self.shard.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-        let conn = self.conns[slot].as_mut().expect("live conn");
-        conn.writes.push_frame(reply.encode_with_corr(corr));
-    }
-
-    /// Flushes a connection's write queue; a transport failure tears
-    /// the connection down.
-    fn flush(&mut self, slot: usize) {
-        let conn = self.conns[slot].as_mut().expect("live conn");
-        if conn.writes.is_empty() {
-            return;
-        }
-        if conn.writes.flush(&mut conn.stream).is_err() {
-            let count = !conn.drop_counted && !self.shared.shutdown.load(Ordering::SeqCst);
-            self.close_conn(slot, count);
-        }
-    }
-
-    /// Collects outcomes for every connection with an in-flight
-    /// batch. Runs once per loop iteration after the doorbell rang —
-    /// coalesced, so a burst of engine drains costs one pass.
+    /// Advances every connection with an in-flight batch. Runs once
+    /// per loop iteration after the doorbell rang — coalesced, so a
+    /// burst of engine drains costs one pass.
     fn pump_all(&mut self) {
         for slot in 0..self.conns.len() {
             if matches!(&self.conns[slot], Some(c) if c.pending.is_some()) {
-                self.pump_conn(slot);
-                if self.conns[slot].is_some() {
-                    self.advance(slot);
-                }
+                self.advance(slot);
             }
         }
-    }
-
-    /// Drains available outcomes into `slot`'s pending batch; when
-    /// complete, queues the `TickOutcomes` reply and serves whatever
-    /// requests queued up behind it.
-    fn pump_conn(&mut self, slot: usize) {
-        let conn = self.conns[slot].as_mut().expect("live conn");
-        let Some(pending) = conn.pending.as_mut() else {
-            return;
-        };
-        let Some(sess) = self.sessions.get_mut(&pending.session) else {
-            // The session vanished under the batch (shutdown path);
-            // the outcome-timeout sweep will answer.
-            return;
-        };
-        while pending.outcomes.len() < pending.expected {
-            match sess.outcomes.try_recv() {
-                Ok(outcome) => pending.outcomes.push(WireOutcome::from_outcome(&outcome)),
-                Err(_) => break,
-            }
-        }
-        if pending.outcomes.len() < pending.expected {
-            return;
-        }
-        let batch = conn.pending.take().expect("pending batch");
-        sess.busy = false;
-        sess.last_used = Instant::now();
-        if let Some(sink) = &self.shared.config.base.replication {
-            // The batch's outcomes are all in hand, so the session
-            // queue is drained and this snapshot captures exactly the
-            // post-batch state — same egress point as the blocking
-            // server's run_ticks.
-            let snapshot = sess.handle.snapshot();
-            let lag = sink.replicate(ReplicationUpdate {
-                session: batch.session,
-                generation: snapshot.generation,
-                spec: sess.spec.clone(),
-                state: WireSessionState::from_snapshot(&snapshot),
-            });
-            self.shard.engine.record_replication(lag);
-        }
-        let reply = Frame::TickOutcomes {
-            session: batch.session,
-            outcomes: batch.outcomes,
-        };
-        self.queue_reply(slot, &reply, batch.corr);
-        self.serve_requests(slot);
     }
 
     /// Drains the wake pipe (engine doorbell and shutdown nudges are
@@ -835,487 +564,74 @@ impl Shard {
     }
 
     /// The maintenance sweep: slow-loris frame deadlines, outcome
-    /// timeouts, and session TTL eviction. Also a pump safety net —
-    /// the doorbell is at-least-once, but a missed edge only ever
-    /// costs one sweep interval of reply latency.
+    /// timeouts (the pump answers a batch past its deadline), and
+    /// session TTL eviction. The pump is also a safety net — the
+    /// doorbell is at-least-once, but a missed edge only ever costs
+    /// one sweep interval of reply latency.
     fn sweep(&mut self) {
         self.pump_all();
-        let frame_deadline = self.shared.config.base.frame_deadline;
-        let outcome_timeout = self.shared.config.base.outcome_timeout;
+        let frame_deadline = self.service.config().frame_deadline;
+        // A peer stalled mid-frame past the deadline is dropped — the
+        // readiness analogue of the blocking reader's armed timer.
+        let stalled = |c: &Conn| {
+            c.assembler
+                .mid_frame_since()
+                .is_some_and(|since| since.elapsed() >= frame_deadline)
+        };
         for slot in 0..self.conns.len() {
-            let Some(conn) = self.conns[slot].as_ref() else {
-                continue;
-            };
-            // A peer stalled mid-frame past the deadline is dropped —
-            // the readiness analogue of the blocking reader's armed
-            // timer.
-            if matches!(conn.assembler.mid_frame_since(), Some(since) if since.elapsed() >= frame_deadline)
-            {
-                self.close_conn(slot, !self.shared.shutdown.load(Ordering::SeqCst));
-                continue;
-            }
-            // An engine batch past the outcome deadline answers
-            // `Timeout`, exactly like the blocking server's
-            // `recv_timeout` expiring.
-            if matches!(conn.pending.as_ref(), Some(p) if p.since.elapsed() >= outcome_timeout) {
-                let conn = self.conns[slot].as_mut().expect("live conn");
-                let batch = conn.pending.take().expect("pending batch");
-                if let Some(sess) = self.sessions.get_mut(&batch.session) {
-                    sess.busy = false;
-                }
-                let reply = error(
-                    ErrorCode::Timeout,
-                    format!(
-                        "engine produced {}/{} outcomes in time",
-                        batch.outcomes.len(),
-                        batch.expected
-                    ),
-                );
-                self.queue_reply(slot, &reply, batch.corr);
-                self.advance(slot);
+            if self.conns[slot].as_ref().is_some_and(stalled) {
+                let count = !self.shutting_down();
+                self.close_conn(slot, count);
             }
         }
-        if let Some(ttl) = self.shared.config.base.session_ttl {
-            let expired: Vec<u64> = self
-                .sessions
-                .iter()
-                .filter(|(_, s)| !s.busy && s.last_used.elapsed() >= ttl)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in expired {
-                if let Some(sess) = self.sessions.remove(&id) {
-                    self.shard
-                        .stats
-                        .sessions_evicted
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(slot) = self.slot_of(sess.owner) {
-                        let conn = self.conns[slot].as_mut().expect("live conn");
-                        conn.sessions_open = conn.sessions_open.saturating_sub(1);
-                    }
-                }
-            }
-        }
+        self.service.sweep_idle();
     }
 
     /// Tears a connection down: poller deregistration **before** the
     /// fd closes (a closed fd in a poll set is undefined-ish:
-    /// POLLNVAL at best), session cleanup, slab slot recycling.
+    /// POLLNVAL at best), session cleanup, slab slot recycling. A
+    /// poisoned connection's drop was counted when it was poisoned.
     fn close_conn(&mut self, slot: usize, count_drop: bool) {
         let Some(conn) = self.conns[slot].take() else {
             return;
         };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        if count_drop && !conn.drop_counted {
-            self.shard
-                .stats
-                .connections_dropped
-                .fetch_add(1, Ordering::Relaxed);
+        if count_drop && !conn.poisoned {
+            self.service.connection_dropped();
         }
-        if conn.sessions_open > 0 {
-            // Dropping the entries closes the sessions; the engine
-            // still drains whatever was queued.
-            self.sessions.retain(|_, s| s.owner != conn.token);
-        }
+        self.service.close_connection(conn.token);
         self.conns_active -= 1;
         self.free_slots.push(slot);
     }
-
-    /// Serves one request frame. Mirrors the blocking server's
-    /// `handle_frame` case for case — same codes, same messages — so
-    /// clients cannot tell the servers apart.
-    fn serve_frame(&mut self, conn_token: u64, frame: Frame) -> Served {
-        match frame {
-            Frame::Hello { client: _ } => Served::Reply(Frame::HelloAck {
-                server: self.shared.config.base.server_name.clone(),
-            }),
-            Frame::OpenSession(spec) => self.open_session(conn_token, &spec, None),
-            // A wire-level restore starts a fresh snapshot lineage
-            // (generation 0), same as the blocking server.
-            Frame::RestoreSession { spec, state } => {
-                self.open_session(conn_token, &spec, Some((&state, 0)))
-            }
-            Frame::Tick { session, ticks } => self.start_ticks(conn_token, session, ticks),
-            Frame::SnapshotSession { session } => {
-                Served::Reply(self.snapshot_session(conn_token, session))
-            }
-            Frame::Recalibrate {
-                session,
-                state_dim,
-                input_dim,
-                a,
-                b,
-            } => Served::Reply(
-                self.recalibrate_session(conn_token, session, state_dim, input_dim, &a, &b),
-            ),
-            Frame::CloseSession { session } => {
-                let reply = match self.sessions.get(&session) {
-                    Some(s) if s.owner == conn_token => {
-                        if let Some(sess) = self.sessions.remove(&session) {
-                            if let Some(slot) = self.slot_of(conn_token) {
-                                let conn = self.conns[slot].as_mut().expect("live conn");
-                                conn.sessions_open = conn.sessions_open.saturating_sub(1);
-                            }
-                            drop(sess);
-                        }
-                        Frame::SessionClosed { session }
-                    }
-                    _ => error(ErrorCode::UnknownSession, format!("session {session}")),
-                };
-                Served::Reply(reply)
-            }
-            Frame::MetricsQuery => {
-                // The one cross-shard read: fold every shard's engine
-                // snapshot and sum the transport counters, then fill
-                // the append-only shard fields.
-                let mut wm = wire_metrics(
-                    &self.shared.merged_engine_metrics(),
-                    &self.shared.summed_transport(),
-                );
-                wm.shards = self.nshards as u64;
-                wm.partial_frame_resumes = self.shared.summed_resumes();
-                Served::Reply(Frame::MetricsReply(wm))
-            }
-            Frame::ReplicateSnapshot {
-                key,
-                generation,
-                spec,
-                state,
-            } => Served::Reply(self.store_replica(key, generation, spec, state)),
-            Frame::PromoteSession { key } => self.promote_session(conn_token, key),
-            Frame::RingUpdate { epoch, members } => {
-                Served::Reply(self.ring_update(epoch, &members))
-            }
-            Frame::HelloAck { .. }
-            | Frame::SessionOpened { .. }
-            | Frame::TickOutcomes { .. }
-            | Frame::SessionClosed { .. }
-            | Frame::MetricsReply(_)
-            | Frame::SessionSnapshot { .. }
-            | Frame::RecalibrateAck { .. }
-            | Frame::ReplicateAck { .. }
-            | Frame::Error { .. } => Served::Reply(error(
-                ErrorCode::Internal,
-                "reply-direction frame is not a valid request",
-            )),
-        }
-    }
-
-    /// Accepts (or rejects as stale) one replicated snapshot — same
-    /// codes and messages as the blocking server.
-    fn store_replica(
-        &mut self,
-        key: u64,
-        generation: u64,
-        spec: SessionSpec,
-        state: WireSessionState,
-    ) -> Frame {
-        let mut replicas = self.shared.replicas.lock().expect("replica store lock");
-        if let Some(existing) = replicas.get(&key) {
-            if existing.generation >= generation {
-                return error(
-                    ErrorCode::BadSnapshot,
-                    format!(
-                        "stale replica generation {generation} for key {key} (holding {})",
-                        existing.generation
-                    ),
-                );
-            }
-        }
-        replicas.insert(
-            key,
-            ReplicaEntry {
-                generation,
-                spec,
-                state,
-            },
-        );
-        Frame::ReplicateAck { key, generation }
-    }
-
-    /// Turns the stored replica under `key` into a live session on
-    /// *this* shard's engine, owned by the requesting connection. The
-    /// replica is consumed; the reply echoes the restored state.
-    fn promote_session(&mut self, conn_token: u64, key: u64) -> Served {
-        let entry = {
-            let mut replicas = self.shared.replicas.lock().expect("replica store lock");
-            match replicas.remove(&key) {
-                Some(entry) => entry,
-                None => {
-                    return Served::Reply(error(
-                        ErrorCode::UnknownSession,
-                        format!("replica {key}"),
-                    ))
-                }
-            }
-        };
-        let served = self.open_session(
-            conn_token,
-            &entry.spec,
-            Some((&entry.state, entry.generation)),
-        );
-        let Served::Reply(Frame::SessionOpened { session, .. }) = served else {
-            // The restore failed; put the replica back so a retry can
-            // still promote it.
-            self.shared
-                .replicas
-                .lock()
-                .expect("replica store lock")
-                .insert(key, entry);
-            return served;
-        };
-        self.shard.engine.record_failover();
-        Served::Reply(Frame::SessionSnapshot {
-            session,
-            state: entry.state,
-        })
-    }
-
-    /// Accepts a ring-membership update, ignoring stale epochs.
-    fn ring_update(&mut self, epoch: u64, members: &[RingMember]) -> Frame {
-        let current = self
-            .shared
-            .ring_epoch
-            .fetch_max(epoch, Ordering::SeqCst)
-            .max(epoch);
-        if current == epoch {
-            if let Some(sink) = &self.shared.config.base.replication {
-                sink.ring_update(epoch, members);
-            }
-        }
-        Frame::ReplicateAck {
-            key: 0,
-            generation: current,
-        }
-    }
-
-    fn open_session(
-        &mut self,
-        conn_token: u64,
-        spec: &SessionSpec,
-        restore: Option<(&WireSessionState, u64)>,
-    ) -> Served {
-        let limit = self.shared.config.base.max_sessions_per_connection;
-        let Some(slot) = self.slot_of(conn_token) else {
-            return Served::Reply(error(ErrorCode::Internal, "connection gone"));
-        };
-        if self.conns[slot].as_ref().expect("live conn").sessions_open >= limit {
-            return Served::Reply(error(
-                ErrorCode::SessionLimit,
-                format!("connection already holds {limit} sessions"),
-            ));
-        }
-        let (logger, detector, state_dim, input_dim) = match session_parts_for_spec(spec) {
-            Ok(parts) => parts,
-            Err((code, msg)) => return Served::Reply(error(code, msg)),
-        };
-        let (handle, outcomes) = match restore {
-            None => self.shard.engine.add_session(logger, detector),
-            Some((state, generation)) => {
-                let mut snapshot = state.to_snapshot();
-                snapshot.generation = generation;
-                match self
-                    .shard
-                    .engine
-                    .restore_session(logger, detector, &snapshot)
-                {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        return Served::Reply(error(
-                            ErrorCode::BadSnapshot,
-                            format!("restore: {e}"),
-                        ))
-                    }
-                }
-            }
-        };
-        // Wire ids are shard-allocated (engine-internal ids restart
-        // at zero per shard and may collide across shards): this id
-        // satisfies `id % nshards == shard index` forever.
-        let id = self.next_session_id;
-        self.next_session_id += self.nshards as u64;
-        self.sessions.insert(
-            id,
-            NetSession {
-                owner: conn_token,
-                state_dim,
-                input_dim,
-                spec: spec.clone(),
-                last_used: Instant::now(),
-                busy: false,
-                handle,
-                outcomes,
-            },
-        );
-        self.conns[slot].as_mut().expect("live conn").sessions_open += 1;
-        Served::Reply(Frame::SessionOpened {
-            session: id,
-            state_dim: state_dim as u32,
-            input_dim: input_dim as u32,
-        })
-    }
-
-    /// Validates and submits a `Tick` batch. Whole-batch dimension
-    /// validation happens before anything is submitted (a
-    /// half-submitted batch would desynchronize the outcome stream).
-    fn start_ticks(&mut self, conn_token: u64, session: u64, ticks: Vec<WireTick>) -> Served {
-        let Some(sess) = self.sessions.get_mut(&session) else {
-            return Served::Reply(error(
-                ErrorCode::UnknownSession,
-                format!("session {session}"),
-            ));
-        };
-        if sess.owner != conn_token {
-            // Another connection's session answers exactly like a
-            // missing one: ids must not leak across clients.
-            return Served::Reply(error(
-                ErrorCode::UnknownSession,
-                format!("session {session}"),
-            ));
-        }
-        sess.last_used = Instant::now();
-        for (i, tick) in ticks.iter().enumerate() {
-            if tick.estimate.len() != sess.state_dim || tick.input.len() != sess.input_dim {
-                return Served::Reply(error(
-                    ErrorCode::DimensionMismatch,
-                    format!(
-                        "tick {i}: got estimate/input dims {}/{}, session wants {}/{}",
-                        tick.estimate.len(),
-                        tick.input.len(),
-                        sess.state_dim,
-                        sess.input_dim
-                    ),
-                ));
-            }
-        }
-        let n = ticks.len();
-        for tick in ticks {
-            // Under the Block policy a saturated session queue parks
-            // the shard here briefly — the same backpressure the
-            // blocking server applies, compressed into the submit.
-            // Degrade never parks.
-            if sess
-                .handle
-                .submit(Tick {
-                    estimate: Vector::from_vec(tick.estimate),
-                    input: Vector::from_vec(tick.input),
-                })
-                .is_err()
-            {
-                return Served::Reply(error(
-                    ErrorCode::UnknownSession,
-                    "session closed under batch",
-                ));
-            }
-        }
-        Served::Batch(PendingBatch {
-            session,
-            corr: None, // filled by the caller from the envelope
-            expected: n,
-            outcomes: Vec::with_capacity(n),
-            since: Instant::now(),
-        })
-    }
-
-    fn snapshot_session(&mut self, conn_token: u64, session: u64) -> Frame {
-        let Some(sess) = self.sessions.get_mut(&session) else {
-            return error(ErrorCode::UnknownSession, format!("session {session}"));
-        };
-        if sess.owner != conn_token {
-            return error(ErrorCode::UnknownSession, format!("session {session}"));
-        }
-        sess.last_used = Instant::now();
-        // Strict request→reply ordering means the session's prior
-        // batch (if any) already delivered its outcomes, so this only
-        // waits for queue drain — effectively instant.
-        let snapshot = sess.handle.snapshot();
-        Frame::SessionSnapshot {
-            session,
-            state: WireSessionState::from_snapshot(&snapshot),
-        }
-    }
-
-    /// Swaps the session's plant model in place — same codes, same
-    /// messages, and the same replication egress as the blocking
-    /// server's `recalibrate_session`.
-    fn recalibrate_session(
-        &mut self,
-        conn_token: u64,
-        session: u64,
-        state_dim: u32,
-        input_dim: u32,
-        a: &[f64],
-        b: &[f64],
-    ) -> Frame {
-        let Some(sess) = self.sessions.get_mut(&session) else {
-            return error(ErrorCode::UnknownSession, format!("session {session}"));
-        };
-        if sess.owner != conn_token {
-            return error(ErrorCode::UnknownSession, format!("session {session}"));
-        }
-        sess.last_used = Instant::now();
-        let reject = |stats: &ShardStats, msg: String| {
-            stats
-                .recalibrations_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            error(ErrorCode::DimensionMismatch, msg)
-        };
-        if state_dim as usize != sess.state_dim || input_dim as usize != sess.input_dim {
-            return reject(
-                &self.shard.stats,
-                format!(
-                    "recalibrate declares dims {state_dim}/{input_dim}, session wants {}/{}",
-                    sess.state_dim, sess.input_dim
-                ),
-            );
-        }
-        let n = state_dim as usize;
-        let m = input_dim as usize;
-        let a = Matrix::from_row_major(n, n, a.to_vec()).expect("A validated on decode");
-        let b = Matrix::from_row_major(n, m, b.to_vec()).expect("B validated on decode");
-        // Strict request→reply ordering means no batch is in flight,
-        // so the engine-side quiescence wait is effectively instant.
-        let recal_count = match sess.handle.recalibrate(&a, &b) {
-            Ok(count) => count,
-            Err(e) => return reject(&self.shard.stats, format!("recalibrate: {e}")),
-        };
-        if let Some(sink) = &self.shared.config.base.replication {
-            let snapshot = sess.handle.snapshot();
-            let lag = sink.replicate(ReplicationUpdate {
-                session,
-                generation: snapshot.generation,
-                spec: sess.spec.clone(),
-                state: WireSessionState::from_snapshot(&snapshot),
-            });
-            self.shard.engine.record_replication(lag);
-        }
-        Frame::RecalibrateAck {
-            session,
-            recal_count,
-        }
-    }
 }
 
-/// Marks a connection fatally desynchronized: counts the decode error
-/// and the drop, queues the explanatory error frame (best effort —
-/// delivery races the peer), and flags the connection for
-/// close-after-flush.
-fn poison(conn: &mut Conn, stats: &ShardStats, err: &dyn std::fmt::Display) {
-    stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-    stats.connections_dropped.fetch_add(1, Ordering::Relaxed);
-    stats.frames_out.fetch_add(1, Ordering::Relaxed);
-    let reply = error(
-        ErrorCode::Internal,
-        format!("protocol violation, closing connection: {err}"),
-    );
-    conn.writes.push_frame(reply.encode());
-    conn.poisoned = true;
-    conn.drop_counted = true;
-    conn.requests.clear();
-}
-
-fn error(code: ErrorCode, message: impl Into<String>) -> Frame {
-    Frame::Error {
-        code,
-        message: message.into(),
+/// Serves `conn`'s queued requests in arrival order: collect the
+/// in-flight batch if its outcomes are in, serve the next request,
+/// repeat — until the queue empties or a batch is still waiting on the
+/// engine. A loop, not a recursion, however many requests complete at
+/// once.
+fn serve_requests(service: &SessionService, conn: &mut Conn) {
+    loop {
+        if let Some((batch, corr)) = conn.pending.take() {
+            match service.poll(batch) {
+                Ok(reply) => conn.push_reply(&reply, corr),
+                Err(batch) => {
+                    conn.pending = Some((batch, corr));
+                    return;
+                }
+            }
+        }
+        if conn.poisoned {
+            return;
+        }
+        let Some(env) = conn.requests.pop_front() else {
+            return;
+        };
+        match service.serve(conn.token, env.frame) {
+            Served::Reply(reply) => conn.push_reply(&reply, env.corr),
+            // Outcomes may already be waiting (the doorbell can beat
+            // us here); the next turn of the loop polls eagerly.
+            Served::Batch(batch) => conn.pending = Some((batch, env.corr)),
+        }
     }
 }

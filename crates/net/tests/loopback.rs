@@ -462,3 +462,61 @@ fn clean_close_is_not_a_drop_and_shutdown_is_idempotent() {
         "port should stop accepting after shutdown"
     );
 }
+
+#[test]
+fn a_deep_pipeline_of_empty_ticks_answers_in_order_on_both_backends() {
+    // 20,000 pipelined requests in one write, each of which the shard
+    // answers without waiting on the engine: the shard must keep its
+    // request queue bounded and serve them in a loop, not by recursion
+    // one stack frame per request.
+    const FRAMES: u64 = 20_000;
+    for force_poll in [false, true] {
+        let config = NetServerConfig {
+            force_poll,
+            ..two_shard_config()
+        };
+        let server = NetServer::bind("127.0.0.1:0", config).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        write_frame_corr(
+            &mut stream,
+            &Frame::OpenSession(SessionSpec::model_defaults(2)),
+            Some(0),
+        )
+        .unwrap();
+        let Frame::SessionOpened { session, .. } =
+            read_envelope(&mut stream, DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .frame
+        else {
+            panic!("expected SessionOpened");
+        };
+
+        let mut burst = Vec::new();
+        for corr in 1..=FRAMES {
+            let frame = Frame::Tick {
+                session,
+                ticks: Vec::new(),
+            };
+            write_frame_corr(&mut burst, &frame, Some(corr)).unwrap();
+        }
+        // Write from a second thread so the replies can be read while
+        // the burst is still going out.
+        let mut writer = stream.try_clone().unwrap();
+        let sender = std::thread::spawn(move || writer.write_all(&burst).unwrap());
+        for corr in 1..=FRAMES {
+            let env = read_envelope(&mut stream, DEFAULT_MAX_FRAME_LEN).unwrap();
+            assert_eq!(
+                env.corr,
+                Some(corr),
+                "force_poll={force_poll}: reply out of order"
+            );
+            assert!(
+                matches!(&env.frame, Frame::TickOutcomes { outcomes, .. } if outcomes.is_empty()),
+                "expected empty TickOutcomes, got {:?}",
+                env.frame
+            );
+        }
+        sender.join().unwrap();
+        server.shutdown();
+    }
+}

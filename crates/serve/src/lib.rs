@@ -13,13 +13,20 @@
 //!   *byte-identical* to stepping the engine locally. Encoding is
 //!   explicit (no serde on the wire path) and decoding of hostile
 //!   bytes can only fail with a typed [`wire::WireError`].
-//! * [`server`] — a std-only TCP **server**: one reader thread per
-//!   connection feeding one shared `DetectionEngine`, per-session
-//!   bounded queues riding the engine's Block/Degrade backpressure,
-//!   read timeouts, a max-frame-size guard enforced *before*
+//! * [`service`] — [`SessionService`], every request rule written
+//!   once and shared by both servers: the session registry with owner
+//!   checks and per-connection quotas, wire-id allocation, the idle-TTL
+//!   sweep, the replica store and ring epoch, the transport counters,
+//!   and replication egress. It takes `(connection id, Frame)` and
+//!   returns a reply or a pending tick batch for the caller to collect.
+//! * [`server`] — a std-only TCP **server**: the thread-per-connection
+//!   I/O adapter over one service — one reader thread per connection
+//!   feeding one shared `DetectionEngine`, read timeouts and a
+//!   frame deadline, a max-frame-size guard enforced *before*
 //!   allocation, per-connection error isolation (a malformed frame
 //!   kills only that connection and bumps a decode-error counter),
-//!   and graceful shutdown via a flag + listener wakeup.
+//!   and graceful shutdown via a flag + listener wakeup. The epoll
+//!   server in `awsad-net` is the other adapter over the same service.
 //! * [`client`] — a blocking **client library** with single-tick and
 //!   batched-tick APIs, used by `examples/serve_demo.rs` and the
 //!   `serve_loopback` throughput bench. Every request carries a
@@ -67,11 +74,13 @@
 pub mod client;
 pub mod reconnect;
 pub mod server;
+pub mod service;
 pub mod wire;
 
 pub use client::{Client, ClientError, RemoteSession};
 pub use reconnect::{ReconnectingClient, RetryPolicy};
 pub use server::{ReplicationSink, ReplicationUpdate, Server, ServerConfig, TransportMetrics};
+pub use service::{PendingBatch, Served, SessionService};
 pub use wire::{
     ErrorCode, Frame, RingMember, SessionSpec, WireError, WireLatency, WireMetrics, WireOutcome,
     WireSessionState, WireTick, DEFAULT_MAX_FRAME_LEN, VERSION,

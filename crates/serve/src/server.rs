@@ -1,27 +1,30 @@
 //! The AWSAD detection server: a TCP front-end over one shared
-//! [`DetectionEngine`].
+//! [`DetectionEngine`](awsad_runtime::DetectionEngine).
 //!
 //! Threading model: one accept thread plus **one reader thread per
-//! connection**. Sessions live in a server-wide registry keyed by
-//! session id, but every entry records the connection that opened it
-//! and lookups check that owner — so one client can never address
-//! another's session, exactly as when the map was connection-local.
-//! Each connection speaks a strict request/reply discipline: every
-//! decoded frame is answered by exactly one reply frame, and a
-//! request's correlation id (when present) is echoed on its reply.
-//! Cross-connection concurrency comes from the engine's worker pool,
-//! not from interleaving on a socket.
+//! connection**. The server is only an I/O adapter: each reader
+//! decodes frames and hands them to the server's one
+//! [`SessionService`], which owns every request rule — the
+//! session registry and its owner checks, quotas, TTL eviction,
+//! replication — and blocks the reader on a `Tick` batch's outcomes
+//! (holding only that session's lock). Each connection speaks a
+//! strict request/reply discipline: every decoded frame is answered by
+//! exactly one reply frame, and a request's correlation id (when
+//! present) is echoed on its reply. Cross-connection concurrency comes
+//! from the engine's worker pool, not from interleaving on a socket.
 //!
 //! Session lifetime: a connection's sessions are closed when the
 //! connection ends (any cause). A client that wants its detector
 //! state to survive transport failure snapshots it
-//! ([`Frame::SnapshotSession`]) and restores it on a fresh connection
-//! ([`Frame::RestoreSession`]) — the engine rebuilds the session
-//! bit-exactly, so the resumed outcome stream is byte-identical to an
-//! uninterrupted run. `crate::ReconnectingClient` automates this.
-//! Orthogonally, [`ServerConfig::session_ttl`] lets the server evict
-//! sessions a *live* connection has left idle; the accept thread
-//! sweeps for them between accepts.
+//! ([`Frame::SnapshotSession`](crate::wire::Frame::SnapshotSession))
+//! and restores it on a fresh connection
+//! ([`Frame::RestoreSession`](crate::wire::Frame::RestoreSession)) —
+//! the engine rebuilds the session bit-exactly, so the resumed outcome
+//! stream is byte-identical to an uninterrupted run.
+//! `crate::ReconnectingClient` automates this. Orthogonally,
+//! [`ServerConfig::session_ttl`] lets the server evict sessions a
+//! *live* connection has left idle; the accept thread sweeps for them
+//! between accepts.
 //!
 //! Hostile-input posture, per the serving-layer design:
 //!
@@ -43,26 +46,23 @@
 //!   under `Degrade` its over-quota ticks take the flagged cheap path
 //!   — either way other sessions' latency is protected.
 
-use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use awsad_core::{AdaptiveDetector, DataLogger, DetectorConfig};
-use awsad_linalg::{Matrix, Vector};
+use awsad_linalg::Vector;
 use awsad_models::Simulator;
 use awsad_reach::{CacheConfig, DeadlineCache};
-use awsad_runtime::{
-    DetectionEngine, EngineConfig, LatencyHistogram, RuntimeMetrics, SessionHandle, Tick,
-    TickOutcome,
-};
+use awsad_runtime::{EngineConfig, LatencyHistogram, RuntimeMetrics};
 
+use crate::service::SessionService;
 use crate::wire::{
-    read_envelope, write_frame, write_frame_corr, ErrorCode, Frame, ReadFrameError, RingMember,
-    SessionSpec, WireLatency, WireMetrics, WireOutcome, WireSessionState, DEFAULT_MAX_FRAME_LEN,
+    read_envelope, write_frame, write_frame_corr, ErrorCode, ReadFrameError, RingMember,
+    SessionSpec, WireLatency, WireMetrics, WireSessionState, DEFAULT_MAX_FRAME_LEN,
 };
 
 /// One session snapshot headed for a backup peer, handed to the
@@ -174,19 +174,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Atomic transport counters (the serving-layer analogue of
-/// [`RuntimeMetrics`]).
-#[derive(Debug, Default)]
-struct TransportInner {
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    decode_errors: AtomicU64,
-    connections_opened: AtomicU64,
-    connections_dropped: AtomicU64,
-    sessions_evicted: AtomicU64,
-    recalibrations_rejected: AtomicU64,
-}
-
 /// A point-in-time copy of the server's transport counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportMetrics {
@@ -211,66 +198,10 @@ pub struct TransportMetrics {
     pub recalibrations_rejected: u64,
 }
 
-impl TransportInner {
-    fn snapshot(&self) -> TransportMetrics {
-        TransportMetrics {
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            connections_opened: self.connections_opened.load(Ordering::Relaxed),
-            connections_dropped: self.connections_dropped.load(Ordering::Relaxed),
-            sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
-            recalibrations_rejected: self.recalibrations_rejected.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The mutable half of a registered session. Locked for the duration
-/// of each request touching the session; the TTL sweep `try_lock`s it
-/// so an in-flight request is never evicted under itself.
-struct SessionInner {
-    handle: SessionHandle,
-    outcomes: mpsc::Receiver<TickOutcome>,
-}
-
-/// One open session in the server-wide registry.
-struct ServeSession {
-    /// Connection that opened it; lookups from any other connection
-    /// answer `UnknownSession`.
-    owner: u64,
-    state_dim: usize,
-    input_dim: usize,
-    /// Retained for replication egress: the backup rebuilds the
-    /// detector stack from this spec at promotion time.
-    spec: SessionSpec,
-    last_used: Mutex<Instant>,
-    inner: Mutex<SessionInner>,
-}
-
-/// One backup copy held for a remote primary's session, keyed by the
-/// cluster-wide replica key.
-struct ReplicaEntry {
-    generation: u64,
-    spec: SessionSpec,
-    state: WireSessionState,
-}
-
 struct ServerShared {
-    config: ServerConfig,
-    engine: DetectionEngine,
-    transport: TransportInner,
+    service: SessionService,
     shutdown: AtomicBool,
     next_conn_id: AtomicU64,
-    /// Server-wide session registry; entries carry their owning
-    /// connection id. Dropping an entry closes its session (the
-    /// handle's `Drop` does the close).
-    sessions: Mutex<HashMap<u64, Arc<ServeSession>>>,
-    /// Backup copies this server holds for remote primaries'
-    /// sessions, waiting to be promoted on failover.
-    replicas: Mutex<HashMap<u64, ReplicaEntry>>,
-    /// Highest ring epoch accepted via [`Frame::RingUpdate`]; older
-    /// epochs are ignored (and acked with this value).
-    ring_epoch: AtomicU64,
     /// Joined on shutdown; finished threads are reaped opportunistically
     /// by the accept loop so a long-lived server does not accumulate
     /// handles for long-gone connections.
@@ -307,15 +238,13 @@ impl Server {
         // Non-blocking accepts let the same thread run the idle-session
         // sweep between connection attempts.
         listener.set_nonblocking(true)?;
+        let service = SessionService::for_server(config, 1, false)
+            .pop()
+            .expect("one service");
         let shared = Arc::new(ServerShared {
-            engine: DetectionEngine::new(config.engine.clone()),
-            config,
-            transport: TransportInner::default(),
+            service,
             shutdown: AtomicBool::new(false),
             next_conn_id: AtomicU64::new(1),
-            sessions: Mutex::new(HashMap::new()),
-            replicas: Mutex::new(HashMap::new()),
-            ring_epoch: AtomicU64::new(0),
             connections: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
@@ -338,12 +267,12 @@ impl Server {
 
     /// A point-in-time copy of the shared engine's counters.
     pub fn engine_metrics(&self) -> RuntimeMetrics {
-        self.shared.engine.metrics()
+        self.shared.service.engine_metrics()
     }
 
     /// A point-in-time copy of the transport counters.
     pub fn transport_metrics(&self) -> TransportMetrics {
-        self.shared.transport.snapshot()
+        self.shared.service.transport_metrics()
     }
 
     /// Stops accepting, wakes every connection thread, and joins them
@@ -393,10 +322,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
-                shared
-                    .transport
-                    .connections_opened
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.service.connection_opened();
                 let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
                 let conn_shared = Arc::clone(&shared);
                 let handle = thread::Builder::new()
@@ -408,7 +334,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                 conns.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                sweep_idle_sessions(&shared);
+                shared.service.sweep_idle();
                 thread::sleep(Duration::from_millis(10));
             }
             Err(_) => {
@@ -418,34 +344,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
             }
         }
     }
-}
-
-/// Closes registry sessions idle past [`ServerConfig::session_ttl`].
-/// A session whose `inner` lock is held is mid-request — by
-/// definition not idle — and is skipped via `try_lock`.
-fn sweep_idle_sessions(shared: &ServerShared) {
-    let Some(ttl) = shared.config.session_ttl else {
-        return;
-    };
-    let now = Instant::now();
-    let mut registry = shared.sessions.lock().expect("session registry lock");
-    registry.retain(|_, session| {
-        let Ok(_inner) = session.inner.try_lock() else {
-            return true;
-        };
-        // Re-check idleness under the inner lock: a request that
-        // finished between our `now` and this try_lock has already
-        // refreshed `last_used`.
-        let last = *session.last_used.lock().expect("last_used lock");
-        if now.saturating_duration_since(last) < ttl {
-            return true;
-        }
-        shared
-            .transport
-            .sessions_evicted
-            .fetch_add(1, Ordering::Relaxed);
-        false
-    });
 }
 
 /// Wraps the connection socket so blocking reads wake up every
@@ -506,28 +404,24 @@ impl Read for ShutdownAwareReader<'_> {
 }
 
 fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>, conn_id: u64) {
+    let service = &shared.service;
+    let config = service.config();
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    let write_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            shared
-                .transport
-                .connections_dropped
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
+    let _ = stream.set_read_timeout(Some(config.read_timeout));
+    let Ok(write_stream) = stream.try_clone() else {
+        service.connection_dropped();
+        return;
     };
     let mut reader = ShutdownAwareReader {
         stream: BufReader::new(stream),
         shutdown: &shared.shutdown,
-        frame_deadline: shared.config.frame_deadline,
+        frame_deadline: config.frame_deadline,
         mid_frame_since: None,
     };
     let mut writer = BufWriter::new(write_stream);
 
     loop {
-        let envelope = match read_envelope(&mut reader, shared.config.max_frame_len) {
+        let envelope = match read_envelope(&mut reader, config.max_frame_len) {
             Ok(envelope) => envelope,
             Err(ReadFrameError::Closed) => break, // clean client close
             Err(ReadFrameError::Io(_)) => {
@@ -535,240 +429,30 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>, conn_id: u64)
                 // past the frame deadline; either way this connection
                 // is done.
                 if !shared.shutdown.load(Ordering::SeqCst) {
-                    shared
-                        .transport
-                        .connections_dropped
-                        .fetch_add(1, Ordering::Relaxed);
+                    service.connection_dropped();
                 }
                 break;
             }
             Err(ReadFrameError::Wire(err)) => {
-                // Malformed traffic: count it, tell the peer why
-                // (best effort — the stream may be desynchronized),
-                // and kill only this connection.
-                shared
-                    .transport
-                    .decode_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .transport
-                    .connections_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-                let reply = Frame::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("protocol violation, closing connection: {err}"),
-                };
-                shared.transport.frames_out.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(&mut writer, &reply);
+                // Malformed traffic: tell the peer why (best effort —
+                // the stream may be desynchronized) and kill only this
+                // connection.
+                let _ = write_frame(&mut writer, &service.protocol_violation(&err));
                 break;
             }
         };
         reader.frame_done();
-        shared.transport.frames_in.fetch_add(1, Ordering::Relaxed);
-
-        let reply = handle_frame(&shared, conn_id, envelope.frame);
-        // Count before the bytes hit the wire: a client that has read
-        // its reply must observe the counter already bumped, which
-        // keeps `frames_out` exact from any observer's point of view
-        // (the write-failure path below tears the connection down, so
-        // the one-frame overcount there is visible as a drop).
-        shared.transport.frames_out.fetch_add(1, Ordering::Relaxed);
+        let reply = service.serve_blocking(conn_id, envelope.frame);
         // Echo the request's correlation id (legacy corr-less request
         // → legacy corr-less reply, byte-identical to older servers).
         if write_frame_corr(&mut writer, &reply, envelope.corr).is_err() {
-            shared
-                .transport
-                .connections_dropped
-                .fetch_add(1, Ordering::Relaxed);
+            service.connection_dropped();
             break;
         }
     }
-    // Close this connection's sessions: drop them from the registry
-    // (the handle's `Drop` closes each; the engine still drains
-    // whatever was already queued).
-    shared
-        .sessions
-        .lock()
-        .expect("session registry lock")
-        .retain(|_, s| s.owner != conn_id);
-}
-
-fn error(code: ErrorCode, message: impl Into<String>) -> Frame {
-    Frame::Error {
-        code,
-        message: message.into(),
-    }
-}
-
-/// Looks up `session` in the registry, enforcing connection
-/// ownership, and refreshes its idle clock.
-#[allow(clippy::result_large_err)] // Err is the ready-to-send reply frame; rare path
-fn lookup_session(
-    shared: &ServerShared,
-    conn_id: u64,
-    session: u64,
-) -> Result<Arc<ServeSession>, Frame> {
-    let registry = shared.sessions.lock().expect("session registry lock");
-    match registry.get(&session) {
-        Some(s) if s.owner == conn_id => {
-            *s.last_used.lock().expect("last_used lock") = Instant::now();
-            Ok(Arc::clone(s))
-        }
-        // An existing session owned by another connection is reported
-        // exactly like a missing one: ids must not leak across
-        // clients.
-        _ => Err(error(
-            ErrorCode::UnknownSession,
-            format!("session {session}"),
-        )),
-    }
-}
-
-fn handle_frame(shared: &ServerShared, conn_id: u64, frame: Frame) -> Frame {
-    match frame {
-        Frame::Hello { client: _ } => Frame::HelloAck {
-            server: shared.config.server_name.clone(),
-        },
-        Frame::OpenSession(spec) => open_session(shared, conn_id, &spec, None),
-        // A wire-level restore starts a fresh snapshot lineage
-        // (generation 0): the wire state image cannot carry the
-        // counter, and only cluster promotion needs it.
-        Frame::RestoreSession { spec, state } => {
-            open_session(shared, conn_id, &spec, Some((&state, 0)))
-        }
-        Frame::Tick { session, ticks } => run_ticks(shared, conn_id, session, ticks),
-        Frame::SnapshotSession { session } => snapshot_session(shared, conn_id, session),
-        Frame::CloseSession { session } => {
-            let mut registry = shared.sessions.lock().expect("session registry lock");
-            match registry.get(&session) {
-                Some(s) if s.owner == conn_id => {
-                    registry.remove(&session);
-                    Frame::SessionClosed { session }
-                }
-                _ => error(ErrorCode::UnknownSession, format!("session {session}")),
-            }
-        }
-        Frame::MetricsQuery => Frame::MetricsReply(wire_metrics(
-            &shared.engine.metrics(),
-            &shared.transport.snapshot(),
-        )),
-        Frame::ReplicateSnapshot {
-            key,
-            generation,
-            spec,
-            state,
-        } => store_replica(shared, key, generation, spec, state),
-        Frame::PromoteSession { key } => promote_session(shared, conn_id, key),
-        Frame::RingUpdate { epoch, members } => ring_update(shared, epoch, &members),
-        Frame::Recalibrate {
-            session,
-            state_dim,
-            input_dim,
-            a,
-            b,
-        } => recalibrate_session(shared, conn_id, session, state_dim, input_dim, &a, &b),
-        // Reply-direction frames arriving from a client are requests
-        // we cannot serve; answer with a typed error but keep the
-        // connection (the stream itself is still well-formed).
-        Frame::HelloAck { .. }
-        | Frame::SessionOpened { .. }
-        | Frame::TickOutcomes { .. }
-        | Frame::SessionClosed { .. }
-        | Frame::MetricsReply(_)
-        | Frame::SessionSnapshot { .. }
-        | Frame::ReplicateAck { .. }
-        | Frame::RecalibrateAck { .. }
-        | Frame::Error { .. } => error(
-            ErrorCode::Internal,
-            "reply-direction frame is not a valid request",
-        ),
-    }
-}
-
-/// Accepts (or rejects as stale) one replicated snapshot from a
-/// remote primary.
-fn store_replica(
-    shared: &ServerShared,
-    key: u64,
-    generation: u64,
-    spec: SessionSpec,
-    state: WireSessionState,
-) -> Frame {
-    let mut replicas = shared.replicas.lock().expect("replica store lock");
-    if let Some(existing) = replicas.get(&key) {
-        if existing.generation >= generation {
-            return error(
-                ErrorCode::BadSnapshot,
-                format!(
-                    "stale replica generation {generation} for key {key} (holding {})",
-                    existing.generation
-                ),
-            );
-        }
-    }
-    replicas.insert(
-        key,
-        ReplicaEntry {
-            generation,
-            spec,
-            state,
-        },
-    );
-    Frame::ReplicateAck { key, generation }
-}
-
-/// Turns the stored replica under `key` into a live session owned by
-/// the requesting connection. The replica is consumed; the reply
-/// echoes the restored state so the promoting router can judge the
-/// replica's freshness against its own checkpoint.
-fn promote_session(shared: &ServerShared, conn_id: u64, key: u64) -> Frame {
-    let entry = {
-        let mut replicas = shared.replicas.lock().expect("replica store lock");
-        match replicas.remove(&key) {
-            Some(entry) => entry,
-            None => return error(ErrorCode::UnknownSession, format!("replica {key}")),
-        }
-    };
-    let reply = open_session(
-        shared,
-        conn_id,
-        &entry.spec,
-        Some((&entry.state, entry.generation)),
-    );
-    let Frame::SessionOpened { session, .. } = reply else {
-        // The restore failed; put the replica back so a retry (or a
-        // different router) can still promote it.
-        shared
-            .replicas
-            .lock()
-            .expect("replica store lock")
-            .insert(key, entry);
-        return reply;
-    };
-    shared.engine.record_failover();
-    Frame::SessionSnapshot {
-        session,
-        state: entry.state,
-    }
-}
-
-/// Accepts a ring-membership update, ignoring stale epochs. The ack
-/// always carries the epoch now in force, so a sender with an old
-/// view can tell it lost.
-fn ring_update(shared: &ServerShared, epoch: u64, members: &[RingMember]) -> Frame {
-    let current = shared
-        .ring_epoch
-        .fetch_max(epoch, Ordering::SeqCst)
-        .max(epoch);
-    if current == epoch {
-        if let Some(sink) = &shared.config.replication {
-            sink.ring_update(epoch, members);
-        }
-    }
-    Frame::ReplicateAck {
-        key: 0,
-        generation: current,
-    }
+    // The handle's `Drop` closes each session; the engine still drains
+    // whatever was already queued.
+    service.close_connection(conn_id);
 }
 
 /// Builds the detector stack a spec describes — **exactly** the
@@ -871,235 +555,10 @@ pub fn session_parts_for_spec(
     ))
 }
 
-/// Wraps [`session_parts_for_spec`] for the reply path. `Err` carries
-/// the ready-to-send error frame.
-#[allow(clippy::result_large_err)] // Err is the ready-to-send reply frame; rare path
-fn build_session_parts(
-    spec: &SessionSpec,
-) -> Result<(DataLogger, AdaptiveDetector, usize, usize), Frame> {
-    session_parts_for_spec(spec).map_err(|(code, msg)| error(code, msg))
-}
-
-/// Opens a fresh session, or — when `restore` carries a snapshot and
-/// the generation to seed its lineage counter with — rebuilds one
-/// mid-stream. Both paths answer `SessionOpened`.
-fn open_session(
-    shared: &ServerShared,
-    conn_id: u64,
-    spec: &SessionSpec,
-    restore: Option<(&WireSessionState, u64)>,
-) -> Frame {
-    {
-        let registry = shared.sessions.lock().expect("session registry lock");
-        if registry.values().filter(|s| s.owner == conn_id).count()
-            >= shared.config.max_sessions_per_connection
-        {
-            return error(
-                ErrorCode::SessionLimit,
-                format!(
-                    "connection already holds {} sessions",
-                    shared.config.max_sessions_per_connection
-                ),
-            );
-        }
-    }
-    let (logger, detector, state_dim, input_dim) = match build_session_parts(spec) {
-        Ok(parts) => parts,
-        Err(reply) => return reply,
-    };
-    let (handle, outcomes) = match restore {
-        None => shared.engine.add_session(logger, detector),
-        Some((state, generation)) => {
-            let mut snapshot = state.to_snapshot();
-            snapshot.generation = generation;
-            match shared.engine.restore_session(logger, detector, &snapshot) {
-                Ok(pair) => pair,
-                Err(e) => return error(ErrorCode::BadSnapshot, format!("restore: {e}")),
-            }
-        }
-    };
-    let id = handle.id().0;
-    shared
-        .sessions
-        .lock()
-        .expect("session registry lock")
-        .insert(
-            id,
-            Arc::new(ServeSession {
-                owner: conn_id,
-                state_dim,
-                input_dim,
-                spec: spec.clone(),
-                last_used: Mutex::new(Instant::now()),
-                inner: Mutex::new(SessionInner { handle, outcomes }),
-            }),
-        );
-    Frame::SessionOpened {
-        session: id,
-        state_dim: state_dim as u32,
-        input_dim: input_dim as u32,
-    }
-}
-
-fn snapshot_session(shared: &ServerShared, conn_id: u64, session: u64) -> Frame {
-    let serve_session = match lookup_session(shared, conn_id, session) {
-        Ok(s) => s,
-        Err(reply) => return reply,
-    };
-    let inner = serve_session.inner.lock().expect("session inner lock");
-    // The strict request/reply discipline means every prior batch's
-    // outcomes have been delivered, so this only waits for queue
-    // drain (normally instant).
-    let snapshot = inner.handle.snapshot();
-    Frame::SessionSnapshot {
-        session,
-        state: WireSessionState::from_snapshot(&snapshot),
-    }
-}
-
-/// Swaps a live session's plant model mid-stream (accepted model
-/// drift). The engine blocks until the session's queue is drained, so
-/// the swap is a clean cut between two ticks; the post-swap state is
-/// replicated like a post-batch state so failover restores the
-/// *recalibrated* session.
-fn recalibrate_session(
-    shared: &ServerShared,
-    conn_id: u64,
-    session: u64,
-    state_dim: u32,
-    input_dim: u32,
-    a: &[f64],
-    b: &[f64],
-) -> Frame {
-    let serve_session = match lookup_session(shared, conn_id, session) {
-        Ok(s) => s,
-        Err(reply) => return reply,
-    };
-    let reject = |msg: String| {
-        shared
-            .transport
-            .recalibrations_rejected
-            .fetch_add(1, Ordering::Relaxed);
-        error(ErrorCode::DimensionMismatch, msg)
-    };
-    if state_dim as usize != serve_session.state_dim
-        || input_dim as usize != serve_session.input_dim
-    {
-        return reject(format!(
-            "recalibrate declares dims {state_dim}/{input_dim}, session wants {}/{}",
-            serve_session.state_dim, serve_session.input_dim
-        ));
-    }
-    // The wire decoder already validated the element counts against
-    // the declared dims, so these constructions cannot fail.
-    let n = state_dim as usize;
-    let m = input_dim as usize;
-    let a = Matrix::from_row_major(n, n, a.to_vec()).expect("A validated on decode");
-    let b = Matrix::from_row_major(n, m, b.to_vec()).expect("B validated on decode");
-    let inner = serve_session.inner.lock().expect("session inner lock");
-    let recal_count = match inner.handle.recalibrate(&a, &b) {
-        Ok(count) => count,
-        Err(e) => return reject(format!("recalibrate: {e}")),
-    };
-    if let Some(sink) = &shared.config.replication {
-        // The queue is drained (recalibrate waited for it), so this
-        // snapshot captures exactly the post-swap state; a failover
-        // from here resumes under the new model.
-        let snapshot = inner.handle.snapshot();
-        let lag = sink.replicate(ReplicationUpdate {
-            session,
-            generation: snapshot.generation,
-            spec: serve_session.spec.clone(),
-            state: WireSessionState::from_snapshot(&snapshot),
-        });
-        shared.engine.record_replication(lag);
-    }
-    Frame::RecalibrateAck {
-        session,
-        recal_count,
-    }
-}
-
-fn run_ticks(
-    shared: &ServerShared,
-    conn_id: u64,
-    session: u64,
-    ticks: Vec<crate::wire::WireTick>,
-) -> Frame {
-    let serve_session = match lookup_session(shared, conn_id, session) {
-        Ok(s) => s,
-        Err(reply) => return reply,
-    };
-    // Validate the whole batch before submitting anything: the engine
-    // asserts on dimension mismatches, and a half-submitted batch
-    // would desynchronize the outcome stream.
-    for (i, tick) in ticks.iter().enumerate() {
-        if tick.estimate.len() != serve_session.state_dim
-            || tick.input.len() != serve_session.input_dim
-        {
-            return error(
-                ErrorCode::DimensionMismatch,
-                format!(
-                    "tick {i}: got estimate/input dims {}/{}, session wants {}/{}",
-                    tick.estimate.len(),
-                    tick.input.len(),
-                    serve_session.state_dim,
-                    serve_session.input_dim
-                ),
-            );
-        }
-    }
-    let inner = serve_session.inner.lock().expect("session inner lock");
-    let n = ticks.len();
-    for tick in ticks {
-        // Under the Block policy this throttles the producer right
-        // here — per-session bounded-queue backpressure reaching all
-        // the way back through TCP to the client, which is waiting on
-        // this very reply.
-        if inner
-            .handle
-            .submit(Tick {
-                estimate: Vector::from_vec(tick.estimate),
-                input: Vector::from_vec(tick.input),
-            })
-            .is_err()
-        {
-            return error(ErrorCode::UnknownSession, "session closed under batch");
-        }
-    }
-    let mut outcomes = Vec::with_capacity(n);
-    for _ in 0..n {
-        match inner.outcomes.recv_timeout(shared.config.outcome_timeout) {
-            Ok(outcome) => outcomes.push(WireOutcome::from_outcome(&outcome)),
-            Err(_) => {
-                return error(
-                    ErrorCode::Timeout,
-                    format!("engine produced {}/{n} outcomes in time", outcomes.len()),
-                )
-            }
-        }
-    }
-    if let Some(sink) = &shared.config.replication {
-        // All outcomes are in hand, so the session queue is drained
-        // and this snapshot captures exactly the post-batch state. The
-        // sink only enqueues (replication is asynchronous), so the
-        // reply is not delayed by the backup's socket.
-        let snapshot = inner.handle.snapshot();
-        let lag = sink.replicate(ReplicationUpdate {
-            session,
-            generation: snapshot.generation,
-            spec: serve_session.spec.clone(),
-            state: WireSessionState::from_snapshot(&snapshot),
-        });
-        shared.engine.record_replication(lag);
-    }
-    Frame::TickOutcomes { session, outcomes }
-}
-
 /// Collapses one [`LatencyHistogram`] into its wire summary
-/// (count/mean/conservative quantile bounds/overflow). Shared by the
-/// blocking server and `awsad-net`; quantile bounds honor the
-/// histogram's overflow honesty (`None` when no finite bound holds).
+/// (count/mean/conservative quantile bounds/overflow); quantile bounds
+/// honor the histogram's overflow honesty (`None` when no finite bound
+/// holds).
 pub fn wire_latency(hist: &LatencyHistogram) -> WireLatency {
     WireLatency {
         count: hist.count,
@@ -1112,11 +571,11 @@ pub fn wire_latency(hist: &LatencyHistogram) -> WireLatency {
 
 /// Folds an engine snapshot plus transport counters into the
 /// `MetricsReply` image. The single construction path for metrics
-/// replies: the blocking server uses it directly, and `awsad-net`
-/// feeds it a cross-shard [`RuntimeMetrics::merged`] snapshot plus
-/// summed transport counters, then fills the shard-specific appended
-/// fields (`shards`, `partial_frame_resumes`) — which stay zero here,
-/// marking an unsharded reply.
+/// replies: the session service feeds it every engine's snapshot
+/// folded with [`RuntimeMetrics::merged`] plus the summed transport
+/// counters, and a sharded server then fills the shard-specific
+/// appended fields (`shards`, `partial_frame_resumes`) — which stay
+/// zero here, marking an unsharded reply.
 pub fn wire_metrics(engine: &RuntimeMetrics, transport: &TransportMetrics) -> WireMetrics {
     WireMetrics {
         sessions_active: engine.sessions_active,
