@@ -31,18 +31,22 @@ impl AdaptiveStep {
     }
 }
 
-/// How a lane's deadline resolves in phase A of a batched step (see
-/// the batch-stepping hooks on [`AdaptiveDetector`]).
+/// Where a step's deadline comes from, as resolved by
+/// [`AdaptiveDetector::resolve_deadline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BatchDeadlinePhase {
-    /// The deadline is already committed (aged estimate or cache hit).
+pub(crate) enum DeadlineSource {
+    /// The deadline is committed: an aged estimate, a cache hit, or a
+    /// quantized-cache miss resolved in place.
     Ready {
         /// The committed deadline.
         deadline: Deadline,
+        /// Whether resolving it stayed off the heap (no cache insert).
+        alloc_free: bool,
     },
-    /// A reachability walk from the lane's trusted estimate is needed;
+    /// A reachability walk from the trusted estimate is needed, to be
+    /// handed back through [`AdaptiveDetector::commit_walked_deadline`];
     /// `cache_miss` records whether an installed cache counted a miss
-    /// (the walked answer must then be inserted at commit).
+    /// (the walked answer is then inserted at commit).
     Walk {
         /// Whether an installed deadline cache counted a miss.
         cache_miss: bool,
@@ -211,8 +215,7 @@ impl AdaptiveDetector {
     pub fn set_reestimation_period(&mut self, period: usize) {
         assert!(period > 0, "re-estimation period must be positive");
         self.reestimation_period = period;
-        self.steps_since_estimate = 0;
-        self.cached_deadline = None;
+        self.forget_deadline();
     }
 
     /// Installs a memoizing [`DeadlineCache`] in front of the
@@ -245,97 +248,25 @@ impl AdaptiveDetector {
     /// Panics when the logger is empty (record the current step
     /// first) or its model dimension differs from the estimator's.
     pub fn step(&mut self, logger: &DataLogger) -> AdaptiveStep {
-        let current = logger
-            .current_step()
-            .expect("record the current step before detection");
-
-        // 1-2. Deadline from the newest trusted estimate; re-queried
-        // every `reestimation_period` steps and conservatively aged in
-        // between. The query runs through the caller-held scratch
-        // buffers, so steady state only a cache *insert* (a fresh
-        // memoized answer) allocates.
-        let mut alloc_free = true;
-        let deadline = match self.cached_deadline {
-            Some(cached) if self.steps_since_estimate < self.reestimation_period => {
-                self.steps_since_estimate += 1;
-                match cached {
-                    Deadline::Within(t_d) => Deadline::Within(t_d.saturating_sub(1)),
-                    Deadline::Beyond => Deadline::Beyond,
-                }
-            }
-            _ => {
-                let trusted = logger
-                    .trusted_entry(self.prev_window)
-                    .expect("logger has at least one entry");
-                let fresh = match self.deadline_cache.as_mut() {
-                    Some(cache) => {
-                        let misses_before = cache.stats().misses;
-                        let d = cache
-                            .deadline_with(
-                                &self.estimator,
-                                &trusted.estimate,
-                                self.initial_radius,
-                                &mut self.scratch,
-                            )
-                            .expect("logger state dimension matches estimator");
-                        if cache.stats().misses != misses_before {
-                            alloc_free = false;
-                        }
-                        d
-                    }
-                    None => self
-                        .estimator
-                        .checked_deadline_with(
-                            &trusted.estimate,
-                            self.initial_radius,
-                            &mut self.scratch,
-                        )
-                        .expect("logger state dimension matches estimator"),
-                };
-                self.steps_since_estimate = 1;
-                fresh
+        let (deadline, alloc_free) = match self.resolve_deadline(logger) {
+            DeadlineSource::Ready {
+                deadline,
+                alloc_free,
+            } => (deadline, alloc_free),
+            DeadlineSource::Walk { cache_miss } => {
+                let trusted = self.trusted_estimate(logger);
+                let walked = self
+                    .estimator
+                    .checked_deadline_with(trusted, self.initial_radius, &mut self.scratch)
+                    .expect("logger state dimension matches estimator");
+                let alloc_free = self.commit_walked_deadline(logger, walked, cache_miss);
+                (walked, alloc_free)
             }
         };
-        self.cached_deadline = Some(deadline);
-
-        // 3. Window adjustment (§4.2): w_c = t_d clamped to [min, w_m].
-        let w_p = self.prev_window;
-        let w_c = deadline.window_size(self.config.min_window(), self.config.max_window());
-
-        // 4. Complementary detection on shrink (Fig. 3).
-        let mut complementary_alarms = Vec::new();
-        if self.complementary_enabled && w_c < w_p && current > 0 {
-            let first_end = current.saturating_sub(w_p + 1).saturating_add(w_c);
-            for end in first_end..current {
-                if self
-                    .checker
-                    .check_with(logger, end, w_c, &mut self.mean_scratch)
-                    == Some(true)
-                {
-                    complementary_alarms.push(end);
-                }
-            }
-        }
-        if !complementary_alarms.is_empty() {
-            alloc_free = false;
-        }
-
-        // 5. Detection for the current step.
-        let current_alarm = self
-            .checker
-            .check_with(logger, current, w_c, &mut self.mean_scratch)
-            .unwrap_or(false);
-
-        self.prev_window = w_c;
-        self.last_step_alloc_free = alloc_free;
-        AdaptiveStep {
-            step: current,
-            deadline,
-            window: w_c,
-            previous_window: w_p,
-            current_alarm,
-            complementary_alarms,
-        }
+        let mut out = self.adjust_window(logger, deadline);
+        out.current_alarm = self.current_window_alarm(logger, out.step, out.window);
+        self.finalize(&out, alloc_free);
+        out
     }
 
     /// Runs one *degraded* detection step: no reachability query, the
@@ -355,41 +286,24 @@ impl AdaptiveDetector {
     ///
     /// Panics when the logger is empty.
     pub fn step_degraded(&mut self, logger: &DataLogger) -> AdaptiveStep {
-        let current = logger
-            .current_step()
-            .expect("record the current step before detection");
-        let w_p = self.prev_window;
-        let w_c = self.config.max_window();
-        let current_alarm = self
-            .checker
-            .check_with(logger, current, w_c, &mut self.mean_scratch)
-            .unwrap_or(false);
-        self.prev_window = w_c;
+        // `Beyond` clamps to `w_m`, which never shrinks the window, so
+        // no complementary window is re-checked.
+        let mut out = self.adjust_window(logger, Deadline::Beyond);
+        out.current_alarm = self.current_window_alarm(logger, out.step, out.window);
         // The aged in-detector deadline is no longer aligned with the
         // trusted state after a skipped query; force a refresh.
-        self.steps_since_estimate = 0;
-        self.cached_deadline = None;
-        self.last_step_alloc_free = true;
-        AdaptiveStep {
-            step: current,
-            deadline: Deadline::Beyond,
-            window: w_c,
-            previous_window: w_p,
-            current_alarm,
-            complementary_alarms: Vec::new(),
-        }
+        self.forget_deadline();
+        self.finalize(&out, true);
+        out
     }
 
-    // --- Batch-stepping hooks -------------------------------------
+    // --- Step phases ----------------------------------------------
     //
-    // The cross-session batch planner (`crate::batch::BatchPlan`)
-    // decomposes `step` into phases so the expensive pieces — the
-    // reachability walk and the window mean — can run once over a
-    // whole group of sessions. Each hook mirrors a contiguous piece of
-    // `step` *exactly* (same branches, same f64 operations in the same
-    // order, same cache statistics), which is what makes the batched
-    // outcome stream bit-identical to per-session stepping. Any edit
-    // to `step` must be reflected here.
+    // `step` is the composition of these phases. The cross-session
+    // batch planner (`crate::batch::BatchPlan`) calls the same phases
+    // per lane and swaps in only its shared pieces: one batched
+    // reachability walk for every `DeadlineSource::Walk` lane and one
+    // structure-of-arrays window mean for the current-window check.
 
     /// Whether this detector can take the batched stepping path
     /// ([`crate::BatchPlan`]). A *quantized* deadline cache cannot:
@@ -404,80 +318,96 @@ impl AdaptiveDetector {
             .is_some_and(|c| c.config().quantum > 0.0)
     }
 
-    /// Phase A of a batched step: resolve the deadline *source* for
-    /// this lane, mirroring the deadline match in
-    /// [`AdaptiveDetector::step`]. Aged estimates and cache hits are
-    /// committed immediately (state and statistics identical to the
-    /// scalar path); a miss or an uncached lane reports
-    /// [`BatchDeadlinePhase::Walk`] and the caller resolves it through
-    /// one batched reachability walk followed by
-    /// [`AdaptiveDetector::batch_commit_walked_deadline`].
-    pub(crate) fn batch_deadline_phase(&mut self, logger: &DataLogger) -> BatchDeadlinePhase {
-        match self.cached_deadline {
-            Some(cached) if self.steps_since_estimate < self.reestimation_period => {
+    /// The trusted estimate the deadline is taken from: the newest
+    /// entry just outside the previous window (`x̄_{t−w_p−1}`).
+    pub(crate) fn trusted_estimate<'a>(&self, logger: &'a DataLogger) -> &'a Vector {
+        &logger
+            .trusted_entry(self.prev_window)
+            .expect("record the current step before detection")
+            .estimate
+    }
+
+    /// Phases 1–2: resolves the step's deadline source. Every
+    /// `reestimation_period` steps the deadline is re-queried from the
+    /// trusted estimate; in between it is conservatively aged. Aged
+    /// estimates and cache hits commit here, and so does a miss of a
+    /// quantized cache (through [`DeadlineCache::deadline_with`], whose
+    /// miss walks a snapped representative). A miss of an exact cache
+    /// or an uncached query reports [`DeadlineSource::Walk`].
+    pub(crate) fn resolve_deadline(&mut self, logger: &DataLogger) -> DeadlineSource {
+        if let Some(cached) = self.cached_deadline {
+            if self.steps_since_estimate < self.reestimation_period {
                 self.steps_since_estimate += 1;
                 let aged = match cached {
                     Deadline::Within(t_d) => Deadline::Within(t_d.saturating_sub(1)),
                     Deadline::Beyond => Deadline::Beyond,
                 };
                 self.cached_deadline = Some(aged);
-                BatchDeadlinePhase::Ready { deadline: aged }
+                return DeadlineSource::Ready {
+                    deadline: aged,
+                    alloc_free: true,
+                };
             }
-            _ => {
-                let trusted = logger
-                    .trusted_entry(self.prev_window)
-                    .expect("logger has at least one entry");
-                match self.deadline_cache.as_mut() {
-                    Some(cache) => match cache.lookup(&trusted.estimate, self.initial_radius) {
-                        Some(hit) => {
-                            self.steps_since_estimate = 1;
-                            self.cached_deadline = Some(hit);
-                            BatchDeadlinePhase::Ready { deadline: hit }
-                        }
-                        // The miss is already counted; the walked
-                        // answer must come back via
-                        // `batch_commit_walked_deadline`.
-                        None => BatchDeadlinePhase::Walk { cache_miss: true },
-                    },
-                    None => BatchDeadlinePhase::Walk { cache_miss: false },
-                }
+        }
+        let trusted = self.trusted_estimate(logger);
+        let r0 = self.initial_radius;
+        let (deadline, alloc_free) = match self.deadline_cache.as_mut() {
+            None => return DeadlineSource::Walk { cache_miss: false },
+            Some(cache) if cache.config().quantum > 0.0 => {
+                let misses = cache.stats().misses;
+                let deadline = cache
+                    .deadline_with(&self.estimator, trusted, r0, &mut self.scratch)
+                    .expect("logger state dimension matches estimator");
+                (deadline, cache.stats().misses == misses)
             }
+            Some(cache) => match cache.lookup(trusted, r0) {
+                Some(hit) => (hit, true),
+                None => return DeadlineSource::Walk { cache_miss: true },
+            },
+        };
+        self.steps_since_estimate = 1;
+        self.cached_deadline = Some(deadline);
+        DeadlineSource::Ready {
+            deadline,
+            alloc_free,
         }
     }
 
-    /// Commits a deadline the caller walked for this lane's
-    /// [`BatchDeadlinePhase::Walk`]: stores the miss in the cache
-    /// (bit-identical to the scalar miss path's insert) and resets the
-    /// aging counter exactly as [`AdaptiveDetector::step`] does after
-    /// a fresh query.
-    pub(crate) fn batch_commit_walked_deadline(
+    /// Commits a deadline walked for a [`DeadlineSource::Walk`]:
+    /// inserts it into the cache on a miss and restarts the aging
+    /// counter. Returns whether the step stayed off the heap — a
+    /// cache insert allocates.
+    pub(crate) fn commit_walked_deadline(
         &mut self,
         logger: &DataLogger,
         deadline: Deadline,
         cache_miss: bool,
-    ) {
+    ) -> bool {
         if cache_miss {
-            let trusted = logger
-                .trusted_entry(self.prev_window)
-                .expect("logger has at least one entry");
+            let trusted = self.trusted_estimate(logger);
             if let Some(cache) = self.deadline_cache.as_mut() {
-                cache.insert_computed(&trusted.estimate, self.initial_radius, deadline);
+                cache.insert_computed(trusted, self.initial_radius, deadline);
             }
         }
         self.steps_since_estimate = 1;
         self.cached_deadline = Some(deadline);
+        !cache_miss
     }
 
-    /// Phase C of a batched step: complementary detection on window
-    /// shrink, verbatim from [`AdaptiveDetector::step`] (same guard,
-    /// same window ends, same scratch-buffer checks).
-    pub(crate) fn batch_complementary(
+    /// Phases 3–4: sets `w_c = t_d` clamped to `[min_window, w_m]`
+    /// (§4.2) and, when the window shrinks, re-checks the windows of
+    /// size `w_c` ending at `t−w_p−1+w_c, …, t−1` (Fig. 3). Returns the
+    /// step with `current_alarm` still unset.
+    pub(crate) fn adjust_window(
         &mut self,
         logger: &DataLogger,
-        current: usize,
-        w_p: usize,
-        w_c: usize,
-    ) -> Vec<usize> {
+        deadline: Deadline,
+    ) -> AdaptiveStep {
+        let current = logger
+            .current_step()
+            .expect("record the current step before detection");
+        let w_p = self.prev_window;
+        let w_c = deadline.window_size(self.config.min_window(), self.config.max_window());
         let mut complementary_alarms = Vec::new();
         if self.complementary_enabled && w_c < w_p && current > 0 {
             let first_end = current.saturating_sub(w_p + 1).saturating_add(w_c);
@@ -491,13 +421,20 @@ impl AdaptiveDetector {
                 }
             }
         }
-        complementary_alarms
+        AdaptiveStep {
+            step: current,
+            deadline,
+            window: w_c,
+            previous_window: w_p,
+            current_alarm: false,
+            complementary_alarms,
+        }
     }
 
-    /// Scalar fallback for the current-window check of a batched step
-    /// (used when a lane's window is not fully retained): the exact
-    /// phase-5 expression of [`AdaptiveDetector::step`].
-    pub(crate) fn batch_check_current(
+    /// Phase 5: whether the window `[current − w_c, current]` trips
+    /// `τ`, from the scalar window mean (`false` when the window is
+    /// not fully retained).
+    pub(crate) fn current_window_alarm(
         &mut self,
         logger: &DataLogger,
         current: usize,
@@ -508,27 +445,36 @@ impl AdaptiveDetector {
             .unwrap_or(false)
     }
 
-    /// Threshold decision on a batched window mean held as a slice —
-    /// the same check [`AdaptiveDetector::step`] applies to its
-    /// scratch vector.
-    pub(crate) fn batch_exceeds_mean(&self, mean: &[f64]) -> bool {
+    /// Phase 5 on a window mean computed elsewhere (the batched
+    /// structure-of-arrays kernel).
+    pub(crate) fn exceeds_mean(&self, mean: &[f64]) -> bool {
         self.checker.exceeds_slice(mean)
     }
 
-    /// Final phase of a batched step: publish the window and the
-    /// alloc-free flag, exactly as the tail of
-    /// [`AdaptiveDetector::step`].
-    pub(crate) fn batch_finalize(&mut self, w_c: usize, alloc_free: bool) {
-        self.prev_window = w_c;
-        self.last_step_alloc_free = alloc_free;
+    /// Publishes a finished step: `w_c` becomes the next step's `w_p`,
+    /// and the step was alloc-free when its deadline was and it
+    /// collected no complementary alarms.
+    pub(crate) fn finalize(&mut self, step: &AdaptiveStep, alloc_free: bool) {
+        self.prev_window = step.window;
+        self.last_step_alloc_free = alloc_free && step.complementary_alarms.is_empty();
     }
 
-    /// Resets the adaptation state (the previous window returns to
-    /// `w_m`, the deadline cache clears) for a fresh episode.
-    pub fn reset(&mut self) {
-        self.prev_window = self.config.max_window();
+    /// Drops the aged deadline so the next step re-queries.
+    fn forget_deadline(&mut self) {
         self.steps_since_estimate = 0;
         self.cached_deadline = None;
+    }
+
+    /// Resets the adaptation state for a fresh episode: the previous
+    /// window returns to `w_m`, the aged deadline is dropped so the
+    /// next step re-queries, and
+    /// [`AdaptiveDetector::last_step_was_alloc_free`] reads `false`
+    /// until a step runs. An installed deadline cache is kept — its
+    /// entries stay valid for the unchanged model.
+    pub fn reset(&mut self) {
+        self.prev_window = self.config.max_window();
+        self.forget_deadline();
+        self.last_step_alloc_free = false;
     }
 
     /// The recalibrated plant model in effect, when the session has
@@ -566,38 +512,11 @@ impl AdaptiveDetector {
     /// input dimension, either matrix has a non-finite entry, or the
     /// replacement cannot seed a deadline estimator / plant model.
     pub fn recalibrate(&mut self, logger: &mut DataLogger, a: &Matrix, b: &Matrix) -> Result<u64> {
-        let invalid = |reason| Err(DetectError::InvalidRecalibration { reason });
-        let n = self.estimator.state_dim();
-        let m = logger.system().input_dim();
-        if !a.is_square() || a.rows() != n {
-            return invalid("A must be n x n for the session's state dimension");
-        }
-        if b.rows() != n || b.cols() != m {
-            return invalid("B must be n x m for the session's dimensions");
-        }
-        if !a.is_finite() || !b.is_finite() {
-            return invalid("plant matrices must be finite");
-        }
-        let estimator = DeadlineEstimator::new(a, b, self.estimator.config().clone());
-        let Ok(estimator) = estimator else {
-            return invalid("replacement model cannot seed a deadline estimator");
-        };
-        let system = LtiSystem::new_discrete(
-            a.clone(),
-            b.clone(),
-            logger.system().c().clone(),
-            logger.system().dt(),
-        );
-        let Ok(system) = system else {
-            return invalid("replacement model is not a valid plant");
-        };
-        self.estimator = estimator;
-        logger.replace_system(system);
-        if let Some(cache) = self.deadline_cache.as_mut() {
-            cache.clear();
-        }
-        self.cached_deadline = None;
-        self.steps_since_estimate = 0;
+        let model = self
+            .rebuild_model(logger, a, b)
+            .map_err(|reason| DetectError::InvalidRecalibration { reason })?;
+        self.install_model(logger, model);
+        self.forget_deadline();
         let count = self.recalibration_count() + 1;
         self.recalibration = Some(RecalibrationState {
             a: a.clone(),
@@ -605,6 +524,54 @@ impl AdaptiveDetector {
             count,
         });
         Ok(count)
+    }
+
+    /// Validates a replacement plant model `(a, b)` against the
+    /// session's dimensions and builds the deadline estimator (under
+    /// the unchanged [`awsad_reach::ReachConfig`]) and plant model it
+    /// implies, touching nothing. On failure returns the reason, which
+    /// each caller wraps in its own typed error.
+    fn rebuild_model(
+        &self,
+        logger: &DataLogger,
+        a: &Matrix,
+        b: &Matrix,
+    ) -> std::result::Result<(DeadlineEstimator, LtiSystem), &'static str> {
+        let n = self.estimator.state_dim();
+        if !a.is_square() || a.rows() != n {
+            return Err("A must be n x n for the session's state dimension");
+        }
+        if b.rows() != n || b.cols() != logger.system().input_dim() {
+            return Err("B must be n x m for the session's dimensions");
+        }
+        if !a.is_finite() || !b.is_finite() {
+            return Err("plant matrices must be finite");
+        }
+        let estimator = DeadlineEstimator::new(a, b, self.estimator.config().clone())
+            .map_err(|_| "replacement model cannot seed a deadline estimator")?;
+        let system = LtiSystem::new_discrete(
+            a.clone(),
+            b.clone(),
+            logger.system().c().clone(),
+            logger.system().dt(),
+        )
+        .map_err(|_| "replacement model is not a valid plant")?;
+        Ok((estimator, system))
+    }
+
+    /// Swaps in a model built by [`AdaptiveDetector::rebuild_model`].
+    /// An installed deadline cache is cleared: its memoized walks
+    /// reflect the old model.
+    fn install_model(
+        &mut self,
+        logger: &mut DataLogger,
+        (estimator, system): (DeadlineEstimator, LtiSystem),
+    ) {
+        self.estimator = estimator;
+        logger.replace_system(system);
+        if let Some(cache) = self.deadline_cache.as_mut() {
+            cache.clear();
+        }
     }
 
     /// Captures the detector's full mutable state, together with the
@@ -665,34 +632,13 @@ impl AdaptiveDetector {
         // detector and logger untouched.
         let rebuilt = match &snapshot.recalibration {
             Some(recal) => {
-                let n = self.config.dim();
-                if !recal.a.is_square()
-                    || recal.a.rows() != n
-                    || recal.b.rows() != n
-                    || recal.b.cols() != logger.system().input_dim()
-                {
-                    return invalid("recalibration matrices mismatch the session dimensions");
-                }
-                if !recal.a.is_finite() || !recal.b.is_finite() {
-                    return invalid("recalibration matrices must be finite");
-                }
                 if recal.count == 0 {
                     return invalid("recalibration count must be positive");
                 }
-                let Ok(estimator) =
-                    DeadlineEstimator::new(&recal.a, &recal.b, self.estimator.config().clone())
-                else {
-                    return invalid("recalibration cannot seed a deadline estimator");
-                };
-                let Ok(system) = LtiSystem::new_discrete(
-                    recal.a.clone(),
-                    recal.b.clone(),
-                    logger.system().c().clone(),
-                    logger.system().dt(),
-                ) else {
-                    return invalid("recalibration is not a valid plant model");
-                };
-                Some((estimator, system))
+                match self.rebuild_model(logger, &recal.a, &recal.b) {
+                    Ok(rebuilt) => Some(rebuilt),
+                    Err(reason) => return invalid(reason),
+                }
             }
             None => {
                 if self.recalibration.is_some() {
@@ -705,12 +651,8 @@ impl AdaptiveDetector {
             }
         };
         logger.restore(&snapshot.logger)?;
-        if let Some((estimator, system)) = rebuilt {
-            self.estimator = estimator;
-            logger.replace_system(system);
-            if let Some(cache) = self.deadline_cache.as_mut() {
-                cache.clear();
-            }
+        if let Some(model) = rebuilt {
+            self.install_model(logger, model);
         }
         self.recalibration = snapshot.recalibration.clone();
         self.prev_window = snapshot.prev_window;
@@ -926,6 +868,25 @@ mod tests {
         assert!(det.previous_window() < 10);
         det.reset();
         assert_eq!(det.previous_window(), 10);
+    }
+
+    #[test]
+    fn reset_clears_alloc_free_flag_and_keeps_the_cache() {
+        use awsad_reach::CacheConfig;
+        let (mut logger, mut det) = setup(0.5, 10);
+        det.set_deadline_cache(DeadlineCache::new(CacheConfig::exact(16)));
+        for _ in 0..2 {
+            logger.record(v(0.0), v(0.0));
+            det.step(&logger);
+        }
+        assert!(det.last_step_was_alloc_free());
+        det.reset();
+        assert!(!det.last_step_was_alloc_free(), "no step has run since");
+        assert_eq!(det.deadline_cache_stats().unwrap().len, 1);
+        // The next step re-queries and hits the kept entry.
+        logger.record(v(0.0), v(0.0));
+        assert_eq!(det.step(&logger).deadline, Deadline::Within(5));
+        assert_eq!(det.deadline_cache_stats().unwrap().hits, 2);
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! Cross-session batched stepping.
 //!
 //! [`BatchPlan`] steps a *group* of detection sessions one tick at a
-//! time through shared kernels: every lane that needs a fresh deadline
-//! is answered by **one** batched reachability walk
+//! time. Per lane it runs the same step phases
+//! [`AdaptiveDetector::step`] is composed of — deadline resolution,
+//! window adjustment with complementary detection, the current-window
+//! check, finalization — and swaps in only two shared kernels: every
+//! lane that needs a fresh deadline is answered by **one** batched
+//! reachability walk
 //! ([`awsad_reach::DeadlineEstimator::deadline_batch_refs_with`]), and
 //! every lane's current-window mean is evaluated by **one**
 //! structure-of-arrays kernel call
-//! ([`awsad_linalg::kernels::soa::window_mean_lanes`]). Per lane, each
-//! phase reproduces the corresponding piece of
-//! [`AdaptiveDetector::step`] with the exact same branches and f64
-//! operation order (see the batch-stepping hooks in `adaptive.rs`),
-//! so the produced [`AdaptiveStep`] stream — and the deadline-cache
-//! statistics — are bit-identical to stepping each session alone.
+//! ([`awsad_linalg::kernels::soa::window_mean_lanes`]). Each kernel
+//! column reproduces the scalar walk or window mean with the same f64
+//! operations in the same order, so the produced [`AdaptiveStep`]
+//! stream — and the deadline-cache statistics — are bit-identical to
+//! stepping each session alone.
 //!
 //! # Grouping contract
 //!
@@ -22,8 +25,8 @@
 //! sessions of the same plant model and reach configuration). Lanes
 //! whose detector reports [`AdaptiveDetector::batch_supported`] `==
 //! false` (quantized deadline caches) and lanes taking a *degraded*
-//! step must be stepped scalar instead; the runtime's engine routes
-//! them to the scalar path and counts them as fallbacks. Thresholds,
+//! step are stepped scalar instead; the runtime's engine routes them
+//! to the scalar path and counts them as fallbacks. Thresholds,
 //! window bounds, re-estimation periods and cache capacities may all
 //! differ per lane — those phases stay per-lane.
 
@@ -31,7 +34,7 @@ use awsad_linalg::kernels::soa::{self, SoaBatch};
 use awsad_linalg::Vector;
 use awsad_reach::{BatchScratch, Deadline};
 
-use crate::adaptive::BatchDeadlinePhase;
+use crate::adaptive::DeadlineSource;
 use crate::{AdaptiveDetector, AdaptiveStep, DataLogger};
 
 /// One session's view inside a batched step: its logger (with the
@@ -53,9 +56,7 @@ pub struct BatchPlan {
     walk_scratch: BatchScratch,
     walk_deadlines: Vec<Deadline>,
     walk_lanes: Vec<usize>,
-    phases: Vec<BatchDeadlinePhase>,
-    windows: Vec<usize>,
-    currents: Vec<usize>,
+    sources: Vec<DeadlineSource>,
     alloc_free: Vec<bool>,
     scalar_mean: Vec<bool>,
     means: SoaBatch,
@@ -87,41 +88,37 @@ impl BatchPlan {
             return;
         }
 
-        // Phase A: resolve each lane's deadline source. Aged estimates
-        // and cache hits commit immediately; walk lanes queue up.
-        self.phases.clear();
+        // Phases 1–2: resolve each lane's deadline source; lanes that
+        // need a walk queue up.
+        self.sources.clear();
         self.walk_lanes.clear();
         for (j, lane) in lanes.iter_mut().enumerate() {
-            let phase = lane.detector.batch_deadline_phase(lane.logger);
-            if matches!(phase, BatchDeadlinePhase::Walk { .. }) {
+            let source = lane.detector.resolve_deadline(lane.logger);
+            if matches!(source, DeadlineSource::Walk { .. }) {
                 self.walk_lanes.push(j);
             }
-            self.phases.push(phase);
+            self.sources.push(source);
         }
 
         // One batched reachability walk answers every queued lane.
         // Each column of the walk is bit-identical to the scalar
         // `checked_deadline_with` the lane would have run alone.
         self.walk_deadlines.clear();
-        if !self.walk_lanes.is_empty() {
-            let first = self.walk_lanes[0];
+        if let Some(&first) = self.walk_lanes.first() {
             let r0 = lanes[first].detector.initial_radius();
-            let mut trusted: Vec<&Vector> = Vec::with_capacity(self.walk_lanes.len());
-            for &j in &self.walk_lanes {
-                let lane = &lanes[j];
-                assert_eq!(
-                    lane.detector.initial_radius().to_bits(),
-                    r0.to_bits(),
-                    "grouped lanes must share the initial radius"
-                );
-                trusted.push(
-                    &lane
-                        .logger
-                        .trusted_entry(lane.detector.previous_window())
-                        .expect("record the current step before detection")
-                        .estimate,
-                );
-            }
+            let trusted: Vec<&Vector> = self
+                .walk_lanes
+                .iter()
+                .map(|&j| {
+                    let lane = &lanes[j];
+                    assert_eq!(
+                        lane.detector.initial_radius().to_bits(),
+                        r0.to_bits(),
+                        "grouped lanes must share the initial radius"
+                    );
+                    lane.detector.trusted_estimate(lane.logger)
+                })
+                .collect();
             lanes[first]
                 .detector
                 .estimator()
@@ -132,64 +129,32 @@ impl BatchPlan {
                     &mut self.walk_deadlines,
                 )
                 .expect("grouped lanes share the estimator's state dimension");
-            drop(trusted);
-            for (k, &j) in self.walk_lanes.iter().enumerate() {
-                let BatchDeadlinePhase::Walk { cache_miss } = self.phases[j] else {
-                    unreachable!("walk_lanes only holds Walk phases");
-                };
-                let lane = &mut lanes[j];
-                lane.detector.batch_commit_walked_deadline(
-                    lane.logger,
-                    self.walk_deadlines[k],
-                    cache_miss,
-                );
-            }
         }
 
-        // Phases B/C per lane: window adjustment and complementary
-        // detection (rare, scalar). `walk_lanes` is ordered, so the
-        // walked deadlines realign by a single cursor.
-        self.windows.clear();
-        self.currents.clear();
+        // Phases 3–4 per lane: commit walked deadlines, adjust the
+        // window and run complementary detection (rare, scalar).
+        // `walk_lanes` is ordered, so the walked deadlines realign in
+        // lane order.
         self.alloc_free.clear();
         let base = out.len();
-        let mut walk_k = 0usize;
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            let (deadline, mut alloc_free) = match self.phases[j] {
-                BatchDeadlinePhase::Ready { deadline } => (deadline, true),
-                BatchDeadlinePhase::Walk { cache_miss } => {
-                    let d = self.walk_deadlines[walk_k];
-                    walk_k += 1;
-                    // A cache insert allocates, exactly like the
-                    // scalar miss path.
-                    (d, !cache_miss)
+        let mut walked = self.walk_deadlines.iter();
+        for (lane, &source) in lanes.iter_mut().zip(&self.sources) {
+            let det = &mut *lane.detector;
+            let (deadline, alloc_free) = match source {
+                DeadlineSource::Ready {
+                    deadline,
+                    alloc_free,
+                } => (deadline, alloc_free),
+                DeadlineSource::Walk { cache_miss } => {
+                    let d = *walked.next().expect("one walked deadline per walk lane");
+                    (d, det.commit_walked_deadline(lane.logger, d, cache_miss))
                 }
             };
-            let det = &mut *lane.detector;
-            let current = lane
-                .logger
-                .current_step()
-                .expect("record the current step before detection");
-            let w_p = det.previous_window();
-            let w_c = deadline.window_size(det.config().min_window(), det.config().max_window());
-            let complementary_alarms = det.batch_complementary(lane.logger, current, w_p, w_c);
-            if !complementary_alarms.is_empty() {
-                alloc_free = false;
-            }
-            self.windows.push(w_c);
-            self.currents.push(current);
             self.alloc_free.push(alloc_free);
-            out.push(AdaptiveStep {
-                step: current,
-                deadline,
-                window: w_c,
-                previous_window: w_p,
-                current_alarm: false, // filled by phase D below
-                complementary_alarms,
-            });
+            out.push(det.adjust_window(lane.logger, deadline));
         }
 
-        // Phase D: one SoA kernel call evaluates every lane's
+        // Phase 5: one SoA kernel call evaluates every lane's
         // current-window mean; per lane the accumulation order equals
         // `window_mean_into` exactly. Lanes whose window is not fully
         // retained (only possible for hand-built loggers — the
@@ -202,32 +167,25 @@ impl BatchPlan {
         self.scalar_mean.clear();
         self.offsets.push(0);
         let mut entries: Vec<&[f64]> = Vec::new();
-        for (j, lane) in lanes.iter().enumerate() {
+        for (lane, step) in lanes.iter().zip(&out[base..]) {
             assert_eq!(
                 lane.logger.system().state_dim(),
                 dim,
                 "grouped lanes must share the state dimension"
             );
-            let current = self.currents[j];
-            let start = current.saturating_sub(self.windows[j]);
+            let start = step.step.saturating_sub(step.window);
             let retained = lane
                 .logger
                 .oldest_step()
                 .is_some_and(|first| start >= first);
             if retained {
-                let mut count = 0usize;
-                for step in start..=current {
-                    entries.push(
-                        lane.logger
-                            .entry(step)
-                            .expect("retained window is contiguous")
-                            .residual
-                            .as_slice(),
-                    );
-                    count += 1;
+                for at in start..=step.step {
+                    let entry = lane.logger.entry(at).expect("window is retained");
+                    entries.push(entry.residual.as_slice());
                 }
-                let divisor = count.saturating_sub(1).max(1);
-                self.factors.push(1.0 / divisor as f64);
+                // `window_mean_into`'s divisor: entries in the window
+                // minus one, at least one.
+                self.factors.push(1.0 / (step.step - start).max(1) as f64);
                 self.scalar_mean.push(false);
             } else {
                 self.factors.push(1.0);
@@ -238,17 +196,15 @@ impl BatchPlan {
         soa::window_mean_lanes(&entries, &self.offsets, &self.factors, &mut self.means);
         drop(entries);
 
-        // Phase E: threshold decisions and finalization.
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            let alarm = if self.scalar_mean[j] {
+        // Threshold decisions and finalization.
+        for (j, (lane, step)) in lanes.iter_mut().zip(&mut out[base..]).enumerate() {
+            step.current_alarm = if self.scalar_mean[j] {
                 lane.detector
-                    .batch_check_current(lane.logger, self.currents[j], self.windows[j])
+                    .current_window_alarm(lane.logger, step.step, step.window)
             } else {
-                lane.detector.batch_exceeds_mean(self.means.lane(j))
+                lane.detector.exceeds_mean(self.means.lane(j))
             };
-            out[base + j].current_alarm = alarm;
-            lane.detector
-                .batch_finalize(self.windows[j], self.alloc_free[j]);
+            lane.detector.finalize(step, self.alloc_free[j]);
         }
     }
 }
@@ -279,7 +235,7 @@ mod tests {
         tau: f64,
         w_m: usize,
         period: usize,
-        cache: Option<usize>,
+        cache: Option<CacheConfig>,
         r0: f64,
     ) -> (DataLogger, AdaptiveDetector) {
         let sys = LtiSystem::new_discrete_fully_observable(
@@ -301,35 +257,68 @@ mod tests {
         let mut det = AdaptiveDetector::new(cfg, est).unwrap();
         det.set_initial_radius(r0);
         det.set_reestimation_period(period);
-        if let Some(cap) = cache {
-            det.set_deadline_cache(DeadlineCache::new(CacheConfig::exact(cap)));
+        if let Some(cache) = cache {
+            det.set_deadline_cache(DeadlineCache::new(cache));
         }
         (logger, det)
     }
 
-    /// Drives `n_lanes` heterogeneous sessions (mixed thresholds,
-    /// window bounds, re-estimation periods, cache configurations) for
-    /// `ticks` steps twice — once scalar, once through the plan — and
-    /// asserts bit-identical step streams and cache statistics.
+    /// Asserts that every batched-side lane left the same detector
+    /// state behind as its scalar twin: the alloc-free flag of the
+    /// last step and the full snapshot (window, aged deadline, logger
+    /// window). Returns how many lanes reported an alloc-free step.
+    fn assert_lane_parity(
+        direct: &[(DataLogger, AdaptiveDetector)],
+        batched: &[(DataLogger, AdaptiveDetector)],
+        t: usize,
+    ) -> usize {
+        let mut alloc_free = 0;
+        for (j, ((dl, dd), (bl, bd))) in direct.iter().zip(batched).enumerate() {
+            assert_eq!(
+                bd.last_step_was_alloc_free(),
+                dd.last_step_was_alloc_free(),
+                "tick {t} lane {j} alloc-free flag"
+            );
+            assert_eq!(
+                bd.snapshot(bl),
+                dd.snapshot(dl),
+                "tick {t} lane {j} snapshot"
+            );
+            alloc_free += usize::from(dd.last_step_was_alloc_free());
+        }
+        alloc_free
+    }
+
+    /// Drives heterogeneous sessions (mixed thresholds, window bounds,
+    /// re-estimation periods, cache configurations, one lane with
+    /// complementary detection off) for `ticks` steps twice — once
+    /// scalar, once through the plan — and asserts bit-identical step
+    /// streams, alloc-free flags, snapshots and cache statistics. A
+    /// quantized-cache session rides along on the batched side stepped
+    /// scalar next to the group, as the engine routes it.
     fn assert_group_matches_scalar(r0: f64, seed: u64) {
-        let n_lanes = 7usize;
+        let n_lanes = 8usize;
         let ticks = 60usize;
-        let mut direct = Vec::new();
-        let mut batched = Vec::new();
-        for j in 0..n_lanes {
+        let build = |j: usize| {
             let tau = 0.02 + 0.03 * j as f64;
             let w_m = 6 + 2 * (j % 3);
             let period = 1 + j % 3;
             let cache = match j % 3 {
+                _ if j == 7 => Some(CacheConfig::quantized(0.5, 16)),
                 0 => None,
-                1 => Some(64),
-                _ => Some(2), // tiny: exercises evictions
+                1 => Some(CacheConfig::exact(64)),
+                _ => Some(CacheConfig::exact(2)), // tiny: exercises evictions
             };
-            direct.push(session(tau, w_m, period, cache, r0));
-            batched.push(session(tau, w_m, period, cache, r0));
-        }
+            let mut pair = session(tau, w_m, period, cache, r0);
+            pair.1.set_complementary_enabled(j != 6);
+            pair
+        };
+        let mut direct: Vec<_> = (0..n_lanes).map(build).collect();
+        let mut batched: Vec<_> = (0..n_lanes).map(build).collect();
+        assert!(!batched[7].1.batch_supported());
         let mut plan = BatchPlan::new();
         let mut state = seed;
+        let (mut alloc_free, mut complementary) = (0usize, 0usize);
         for t in 0..ticks {
             // Estimates wander toward the safe boundary so deadlines
             // shrink and complementary detection fires; a few repeats
@@ -345,18 +334,33 @@ mod tests {
                 logger.record(Vector::from_slice(&[xs[j]]), Vector::zeros(1));
                 scalar_steps.push(det.step(logger));
             }
+            let mut batch_steps: Vec<Option<AdaptiveStep>> = vec![None; n_lanes];
             let mut lanes: Vec<BatchLane<'_>> = Vec::new();
+            let mut lane_ids = Vec::new();
             for (j, (logger, det)) in batched.iter_mut().enumerate() {
                 logger.record(Vector::from_slice(&[xs[j]]), Vector::zeros(1));
-                let _ = j;
-                lanes.push(BatchLane {
-                    logger,
-                    detector: det,
-                });
+                if det.batch_supported() {
+                    lane_ids.push(j);
+                    lanes.push(BatchLane {
+                        logger,
+                        detector: det,
+                    });
+                } else {
+                    batch_steps[j] = Some(det.step(logger));
+                }
             }
-            let mut batch_steps = Vec::new();
-            plan.step_group(&mut lanes, &mut batch_steps);
+            let mut group_out = Vec::new();
+            plan.step_group(&mut lanes, &mut group_out);
+            for (k, j) in lane_ids.into_iter().enumerate() {
+                batch_steps[j] = Some(group_out[k].clone());
+            }
+            let batch_steps: Vec<AdaptiveStep> = batch_steps.into_iter().flatten().collect();
             assert_eq!(batch_steps, scalar_steps, "tick {t}");
+            alloc_free += assert_lane_parity(&direct, &batched, t);
+            complementary += scalar_steps
+                .iter()
+                .filter(|s| !s.complementary_alarms.is_empty())
+                .count();
         }
         for (j, ((_, d), (_, b))) in direct.iter().zip(&batched).enumerate() {
             assert_eq!(
@@ -365,6 +369,12 @@ mod tests {
                 "lane {j} cache stats"
             );
         }
+        // The parity checks must have seen both flag values and the
+        // complementary path for the equalities to mean anything.
+        assert!(alloc_free > 0 && alloc_free < n_lanes * ticks);
+        assert!(complementary > 0);
+        let quantized = direct[7].1.deadline_cache_stats().unwrap();
+        assert!(quantized.hits > 0 && quantized.misses > 0);
     }
 
     #[test]
@@ -400,14 +410,12 @@ mod tests {
         // Degraded ticks are stepped scalar (as the engine routes
         // them); the batched lanes around them must still match.
         let n_lanes = 4usize;
+        let cache = Some(CacheConfig::exact(32));
         let mut direct: Vec<_> = (0..n_lanes)
-            .map(|_| session(0.05, 8, 1, Some(32), 0.0))
+            .map(|_| session(0.05, 8, 1, cache.clone(), 0.0))
             .collect();
         let mut batched: Vec<_> = (0..n_lanes)
-            .map(|j| {
-                let _ = j;
-                session(0.05, 8, 1, Some(32), 0.0)
-            })
+            .map(|_| session(0.05, 8, 1, cache.clone(), 0.0))
             .collect();
         let mut plan = BatchPlan::new();
         let mut state = 0xabad_1deau64;
@@ -452,6 +460,7 @@ mod tests {
                     "tick {t} lane {j}"
                 );
             }
+            assert_lane_parity(&direct, &batched, t);
         }
     }
 }

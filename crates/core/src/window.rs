@@ -27,36 +27,20 @@ impl WindowDetector {
     /// absurd sensor value) always alarms. `NaN > τ` is false in IEEE
     /// arithmetic, so without this rule a sensor emitting NaN would
     /// silence the detector — the opposite of what a fault should do.
-    pub fn exceeds(&self, mean_residual: &Vector) -> bool {
-        if !mean_residual.is_finite() {
-            return true;
-        }
-        mean_residual.any_exceeds(&self.threshold)
-    }
-
-    /// Slice twin of [`WindowDetector::exceeds`] for the batched
-    /// detection path, which holds window means in a column-major
-    /// [`awsad_linalg::kernels::soa::SoaBatch`] rather than per-lane
-    /// `Vector`s. Same decision procedure — non-finite fails safe,
-    /// otherwise any strict per-dimension exceedance alarms — so the
-    /// boolean is identical for identical bits.
     ///
     /// # Panics
     ///
     /// Panics when lengths differ.
+    pub fn exceeds(&self, mean_residual: &Vector) -> bool {
+        self.exceeds_slice(mean_residual.as_slice())
+    }
+
+    /// [`WindowDetector::exceeds`] on a slice, for the batched
+    /// detection path, which holds window means in a column-major
+    /// [`awsad_linalg::kernels::soa::SoaBatch`] rather than per-lane
+    /// `Vector`s.
     pub(crate) fn exceeds_slice(&self, mean_residual: &[f64]) -> bool {
-        assert_eq!(
-            mean_residual.len(),
-            self.threshold.len(),
-            "statistic dimension must match the threshold"
-        );
-        if mean_residual.iter().any(|v| !v.is_finite()) {
-            return true;
-        }
-        mean_residual
-            .iter()
-            .zip(self.threshold.as_slice())
-            .any(|(v, t)| v > t)
+        self.dims_exceeding(mean_residual).next().is_some()
     }
 
     /// The dimensions whose statistic exceeds their threshold —
@@ -68,17 +52,23 @@ impl WindowDetector {
     ///
     /// Panics when lengths differ.
     pub fn exceeding_dims(&self, mean_residual: &Vector) -> Vec<usize> {
+        self.dims_exceeding(mean_residual.as_slice()).collect()
+    }
+
+    /// The per-dimension decision rule: dimension `d` trips when its
+    /// statistic is non-finite or strictly above `τ_d`.
+    fn dims_exceeding<'a>(&'a self, mean_residual: &'a [f64]) -> impl Iterator<Item = usize> + 'a {
         assert_eq!(
             mean_residual.len(),
             self.threshold.len(),
             "statistic dimension must match the threshold"
         );
-        (0..mean_residual.len())
-            .filter(|&d| {
-                let v = mean_residual[d];
-                !v.is_finite() || v > self.threshold[d]
-            })
-            .collect()
+        mean_residual
+            .iter()
+            .zip(self.threshold.as_slice())
+            .enumerate()
+            .filter(|(_, (v, t))| !v.is_finite() || v > t)
+            .map(|(d, _)| d)
     }
 
     /// Runs the check for the window `[end − w, end]` against the

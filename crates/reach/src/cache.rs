@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
 use awsad_linalg::Vector;
@@ -114,6 +115,21 @@ fn build_key(quantum: f64, x0: &Vector, r0: f64, key: &mut Vec<u64>) {
     key.push(r0.to_bits());
 }
 
+/// The state and radius a miss on `(x0, r0)` is evaluated at: `x0`
+/// itself when `quantum == 0`; otherwise the bin's snapped
+/// representative with the radius inflated by `q·√n/2` to cover the
+/// whole bin (soundness: every state keyed there lies within that
+/// distance of the representative).
+fn miss_query(quantum: f64, x0: &Vector, r0: f64) -> (Cow<'_, Vector>, f64) {
+    if quantum > 0.0 {
+        let snapped = Vector::from_fn(x0.len(), |d| (x0[d] / quantum).round() * quantum);
+        let inflation = 0.5 * quantum * (x0.len() as f64).sqrt();
+        (Cow::Owned(snapped), r0 + inflation)
+    } else {
+        (Cow::Borrowed(x0), r0)
+    }
+}
+
 impl DeadlineCache {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
@@ -173,31 +189,18 @@ impl DeadlineCache {
         r0: f64,
         scratch: &mut DeadlineScratch,
     ) -> Result<Deadline> {
-        build_key(self.config.quantum, x0, r0, &mut self.key_scratch);
-        if let Some(&hit) = self.entries.get(self.key_scratch.as_slice()) {
-            self.stats.hits += 1;
+        if let Some(hit) = self.lookup(x0, r0) {
             return Ok(hit);
         }
-        self.stats.misses += 1;
-        let q = self.config.quantum;
-        let deadline = if q > 0.0 {
-            // Evaluate at the bin's snapped representative with the
-            // radius inflated to cover the whole bin (soundness: every
-            // state keyed here lies within q·√n/2 of the
-            // representative).
-            let snapped = Vector::from_fn(x0.len(), |d| (x0[d] / q).round() * q);
-            let inflation = 0.5 * q * (x0.len() as f64).sqrt();
-            estimator.checked_deadline_with(&snapped, r0 + inflation, scratch)?
-        } else {
-            estimator.checked_deadline_with(x0, r0, scratch)?
-        };
-        let key = self.key_scratch.clone();
-        self.insert(key, deadline);
+        let (x, r) = miss_query(self.config.quantum, x0, r0);
+        let deadline = estimator.checked_deadline_with(&x, r, scratch)?;
+        // `lookup` left the key in `key_scratch`.
+        self.insert(self.key_scratch.clone(), deadline);
         Ok(deadline)
     }
 
-    /// The lookup half of [`DeadlineCache::deadline_with`], split out
-    /// for callers that resolve misses in bulk: builds the key and
+    /// The lookup half of [`DeadlineCache::deadline_with`], for
+    /// callers that resolve misses themselves: builds the key and
     /// returns the cached deadline, counting a hit — or counts a miss
     /// and returns `None`, leaving the computation to the caller.
     ///
@@ -207,11 +210,9 @@ impl DeadlineCache {
     /// result back through [`DeadlineCache::insert_computed`] with the
     /// same `(x0, r0)`. The pair then reproduces `deadline_with`'s
     /// cache state and statistics exactly: one miss counted here, no
-    /// extra count at insert. The runtime's batch planner uses this to
-    /// fold many sessions' misses into one batched walk; it only
-    /// batches exact-mode caches, since a quantized miss must be
-    /// re-evaluated at its snapped representative with an inflated
-    /// radius.
+    /// extra count at insert. The detector's step uses this for
+    /// exact-mode caches, so that a batch planner can fold many
+    /// sessions' misses into one batched walk.
     pub fn lookup(&mut self, x0: &Vector, r0: f64) -> Option<Deadline> {
         build_key(self.config.quantum, x0, r0, &mut self.key_scratch);
         if let Some(&hit) = self.entries.get(self.key_scratch.as_slice()) {
@@ -259,6 +260,7 @@ impl DeadlineCache {
         let q = self.config.quantum;
         let mut keys: Vec<Vec<u64>> = Vec::new();
         let mut reps: Vec<Vector> = Vec::new();
+        let mut eff_r0 = r0;
         for s in states {
             build_key(q, s, r0, &mut self.key_scratch);
             if self.entries.contains_key(self.key_scratch.as_slice())
@@ -267,20 +269,15 @@ impl DeadlineCache {
                 continue;
             }
             keys.push(self.key_scratch.clone());
-            reps.push(if q > 0.0 {
-                Vector::from_fn(s.len(), |d| (s[d] / q).round() * q)
-            } else {
-                (*s).clone()
-            });
+            // Equal-length states share the inflated radius; a
+            // mismatched length fails the batched walk below.
+            let (rep, r) = miss_query(q, s, r0);
+            reps.push(rep.into_owned());
+            eff_r0 = r;
         }
         if reps.is_empty() {
             return Ok(0);
         }
-        let eff_r0 = if q > 0.0 {
-            r0 + 0.5 * q * (reps[0].len() as f64).sqrt()
-        } else {
-            r0
-        };
         let deadlines = estimator.deadline_batch(&reps, eff_r0)?;
         let count = deadlines.len();
         for (key, deadline) in keys.into_iter().zip(deadlines) {

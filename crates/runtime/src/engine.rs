@@ -231,13 +231,7 @@ impl Drop for SessionSlot {
             .unwrap_or_else(PoisonError::into_inner)
             .ticks
             .len() as u64;
-        if leftover > 0 {
-            let mut pending = lock_recover(&self.engine.pending);
-            *pending = pending.saturating_sub(leftover);
-            if *pending == 0 {
-                self.engine.idle.notify_all();
-            }
-        }
+        self.engine.retire_pending(leftover);
     }
 }
 
@@ -264,6 +258,22 @@ struct EngineShared {
     /// At most one at a time — it is the cross-session analogue of
     /// `Inbox::scheduled`.
     batch_scheduled: Mutex<bool>,
+}
+
+impl EngineShared {
+    /// Retires `n` processed or dropped ticks from the pending count,
+    /// waking [`DetectionEngine::drain`] waiters when it reaches zero.
+    /// Saturating, because a slot's `Drop` must not panic.
+    fn retire_pending(&self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let mut pending = lock_recover(&self.pending);
+        *pending = pending.saturating_sub(n);
+        if *pending == 0 {
+            self.idle.notify_all();
+        }
+    }
 }
 
 /// An online multi-session detection engine.
@@ -853,15 +863,9 @@ fn drain_session(slot: &SessionSlot) {
         slot.space.notify_all();
 
         let engine = &slot.engine;
-        let processed = process_batch_scalar(slot, &mut state, &mut batch).0;
+        let processed = process_batch_scalar(slot, &mut state, &mut batch).processed;
         drop(state);
-
-        let mut pending = lock_recover(&engine.pending);
-        *pending -= processed;
-        if *pending == 0 {
-            engine.idle.notify_all();
-        }
-        drop(pending);
+        engine.retire_pending(processed);
 
         // Ring the host's doorbell after the batch's outcomes are
         // visible on their channels (and after `pending` has been
@@ -873,11 +877,63 @@ fn drain_session(slot: &SessionSlot) {
     }
 }
 
+/// Outcome counts of one drain pass, published to the engine metrics
+/// in one go.
+#[derive(Default)]
+struct Tally {
+    processed: u64,
+    degraded: u64,
+    alarms: u64,
+    alloc_free: u64,
+}
+
+impl Tally {
+    /// Counts one stepped tick and sends its outcome to the session's
+    /// receiver. Degraded steps never count as alloc-free.
+    fn deliver(
+        &mut self,
+        state: &SessionState,
+        session: SessionId,
+        seq: u64,
+        degraded: bool,
+        step: AdaptiveStep,
+    ) {
+        if degraded {
+            self.degraded += 1;
+        } else if state.detector.last_step_was_alloc_free() {
+            self.alloc_free += 1;
+        }
+        if step.alarm() {
+            self.alarms += 1;
+        }
+        // The receiver may be gone (caller only wanted metrics).
+        let _ = state.outcomes.send(TickOutcome {
+            session,
+            seq,
+            degraded,
+            step,
+        });
+    }
+
+    fn publish(&self, metrics: &MetricsInner) {
+        for (counter, n) in [
+            (&metrics.ticks_processed, self.processed),
+            (&metrics.degraded_ticks, self.degraded),
+            (&metrics.alarms_raised, self.alarms),
+            (&metrics.alloc_free_ticks, self.alloc_free),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// Steps one session through an already-popped batch of its ticks on
 /// the scalar path — the common core of the per-session drain and the
 /// mega-drain's fallback for unbatchable sessions. Updates every
 /// metric except the pending count (the callers own that, at
-/// different granularities). Returns `(processed, degraded)` counts.
+/// different granularities) and returns the published tally.
 ///
 /// When the batch carries more than one tick and the detector has a
 /// deadline cache, the batch's estimates are prewarmed with one
@@ -889,22 +945,16 @@ fn process_batch_scalar(
     slot: &SessionSlot,
     state: &mut SessionState,
     batch: &mut Vec<QueuedTick>,
-) -> (u64, u64) {
+) -> Tally {
     let engine = &slot.engine;
-    let SessionState {
-        logger,
-        detector,
-        outcomes,
-    } = state;
-
-    if batch.len() > 1 && detector.has_deadline_cache() {
+    if batch.len() > 1 && state.detector.has_deadline_cache() {
         let estimates: Vec<&Vector> = batch
             .iter()
             .filter(|q| !q.degraded)
             .map(|q| &q.tick.estimate)
             .collect();
         if !estimates.is_empty() {
-            let inserted = detector.prewarm_deadline_cache(&estimates);
+            let inserted = state.detector.prewarm_deadline_cache(&estimates);
             if inserted > 0 {
                 engine
                     .metrics
@@ -914,10 +964,10 @@ fn process_batch_scalar(
         }
     }
 
-    let processed = batch.len() as u64;
-    let mut degraded_ticks = 0u64;
-    let mut alarms = 0u64;
-    let mut alloc_free = 0u64;
+    let mut tally = Tally {
+        processed: batch.len() as u64,
+        ..Tally::default()
+    };
     for queued in batch.drain(..) {
         // A session that panicked earlier in this very batch is
         // failed: its remaining ticks are consumed without stepping
@@ -932,6 +982,9 @@ fn process_batch_scalar(
         // engine's locks and cascade the panic into every other
         // session's submit. Catch it, fail this session, move on.
         let stepped = catch_unwind(AssertUnwindSafe(|| {
+            let SessionState {
+                logger, detector, ..
+            } = &mut *state;
             logger.record(queued.tick.estimate, queued.tick.input);
             let t1 = Instant::now();
             let step = if queued.degraded {
@@ -949,47 +1002,10 @@ fn process_batch_scalar(
 
         engine.metrics.log_latency.record(t1 - t0);
         engine.metrics.detect_latency.record(t2 - t1);
-        if queued.degraded {
-            degraded_ticks += 1;
-        } else if detector.last_step_was_alloc_free() {
-            alloc_free += 1;
-        }
-        if step.alarm() {
-            alarms += 1;
-        }
-
-        // The receiver may be gone (caller only wanted metrics).
-        let _ = outcomes.send(TickOutcome {
-            session: slot.id,
-            seq: queued.seq,
-            degraded: queued.degraded,
-            step,
-        });
+        tally.deliver(state, slot.id, queued.seq, queued.degraded, step);
     }
-
-    engine
-        .metrics
-        .ticks_processed
-        .fetch_add(processed, Ordering::Relaxed);
-    if degraded_ticks > 0 {
-        engine
-            .metrics
-            .degraded_ticks
-            .fetch_add(degraded_ticks, Ordering::Relaxed);
-    }
-    if alarms > 0 {
-        engine
-            .metrics
-            .alarms_raised
-            .fetch_add(alarms, Ordering::Relaxed);
-    }
-    if alloc_free > 0 {
-        engine
-            .metrics
-            .alloc_free_ticks
-            .fetch_add(alloc_free, Ordering::Relaxed);
-    }
-    (processed, degraded_ticks)
+    tally.publish(&engine.metrics);
+    tally
 }
 
 /// Fails one session after a panic escaped its logger/detector step:
@@ -1014,13 +1030,7 @@ fn fail_session(slot: &SessionSlot) {
     }
     drop(inbox);
     slot.space.notify_all();
-    if dropped > 0 {
-        let mut pending = lock_recover(&slot.engine.pending);
-        *pending = pending.saturating_sub(dropped);
-        if *pending == 0 {
-            slot.engine.idle.notify_all();
-        }
-    }
+    slot.engine.retire_pending(dropped);
 }
 
 /// Countdown used by the mega-drain to wait for the group tasks it
@@ -1151,12 +1161,7 @@ fn mega_drain(shared: &Arc<EngineShared>, pool: &Arc<WorkerPool>) {
             }
         }
 
-        let mut pending = lock_recover(&shared.pending);
-        *pending -= round_ticks;
-        if *pending == 0 {
-            shared.idle.notify_all();
-        }
-        drop(pending);
+        shared.retire_pending(round_ticks);
 
         // As in scalar mode: doorbell after outcomes and pending are
         // both published.
@@ -1187,12 +1192,12 @@ fn process_group(
     if lock_recover(&group[0].0.batch_key).is_none() {
         for (slot, batch) in group.iter_mut() {
             let mut state = lock_recover(&slot.state);
-            let (processed, degraded) = process_batch_scalar(slot, &mut state, batch);
+            let tally = process_batch_scalar(slot, &mut state, batch);
             drop(state);
             shared
                 .metrics
                 .scalar_fallback_ticks
-                .fetch_add(processed - degraded, Ordering::Relaxed);
+                .fetch_add(tally.processed - tally.degraded, Ordering::Relaxed);
             finish_slot(slot);
         }
         return;
@@ -1223,10 +1228,7 @@ fn process_group_vectorized(
 ) {
     let mut guards: Vec<_> = slots.iter().map(|slot| lock_recover(&slot.state)).collect();
     let mut cursors = vec![0usize; slots.len()];
-    let mut processed = 0u64;
-    let mut degraded_ticks = 0u64;
-    let mut alarms = 0u64;
-    let mut alloc_free = 0u64;
+    let mut tally = Tally::default();
     let mut batch_ticks = 0u64;
     let mut lane_meta: Vec<(usize, u64)> = Vec::new();
     let mut steps: Vec<AdaptiveStep> = Vec::new();
@@ -1256,23 +1258,14 @@ fn process_group_vectorized(
                 // Consume the failed session's remaining gathered
                 // ticks without stepping (the caller's pending-count
                 // decrement already covers them).
-                processed += (batches[k].len() - cursors[k] + 1) as u64;
+                tally.processed += (batches[k].len() - cursors[k] + 1) as u64;
                 cursors[k] = batches[k].len();
                 fail_session(&slots[k]);
                 continue;
             };
             recorded += 1;
             if let Some(step) = degraded_step {
-                degraded_ticks += 1;
-                if step.alarm() {
-                    alarms += 1;
-                }
-                let _ = state.outcomes.send(TickOutcome {
-                    session: slots[k].id,
-                    seq,
-                    degraded: true,
-                    step,
-                });
+                tally.deliver(state, slots[k].id, seq, true, step);
             } else {
                 lane_meta.push((k, seq));
                 lanes.push(BatchLane {
@@ -1287,7 +1280,7 @@ fn process_group_vectorized(
         if recorded == 0 {
             break;
         }
-        processed += u64::from(recorded);
+        tally.processed += u64::from(recorded);
         let t1 = Instant::now();
         let n_lanes = lanes.len();
         steps.clear();
@@ -1317,45 +1310,12 @@ fn process_group_vectorized(
         }
 
         for (&(k, seq), step) in lane_meta.iter().zip(steps.drain(..)) {
-            let state = &guards[k];
-            if step.alarm() {
-                alarms += 1;
-            }
-            if state.detector.last_step_was_alloc_free() {
-                alloc_free += 1;
-            }
-            let _ = state.outcomes.send(TickOutcome {
-                session: slots[k].id,
-                seq,
-                degraded: false,
-                step,
-            });
+            tally.deliver(&guards[k], slots[k].id, seq, false, step);
         }
     }
     drop(guards);
 
-    shared
-        .metrics
-        .ticks_processed
-        .fetch_add(processed, Ordering::Relaxed);
-    if degraded_ticks > 0 {
-        shared
-            .metrics
-            .degraded_ticks
-            .fetch_add(degraded_ticks, Ordering::Relaxed);
-    }
-    if alarms > 0 {
-        shared
-            .metrics
-            .alarms_raised
-            .fetch_add(alarms, Ordering::Relaxed);
-    }
-    if alloc_free > 0 {
-        shared
-            .metrics
-            .alloc_free_ticks
-            .fetch_add(alloc_free, Ordering::Relaxed);
-    }
+    tally.publish(&shared.metrics);
     if batch_ticks > 0 {
         shared
             .metrics
