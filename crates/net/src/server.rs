@@ -246,7 +246,7 @@ impl NetServer {
     /// Frames that arrived torn across readiness wakeups and were
     /// completed by mid-frame resume, across all shards.
     pub fn partial_frame_resumes(&self) -> u64 {
-        self.services[0].partial_frame_resumes()
+        self.transport_metrics().partial_frame_resumes
     }
 
     /// Stops every shard: connections close, sessions drop (queued

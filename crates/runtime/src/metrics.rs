@@ -81,7 +81,7 @@ impl HistInner {
 }
 
 /// A point-in-time copy of one stage's latency distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencyHistogram {
     /// Sample count per finite bucket; see [`bucket_bound_ns`].
     pub buckets: [u64; LATENCY_BUCKETS],
@@ -155,119 +155,181 @@ impl LatencyHistogram {
     }
 }
 
-/// Shared atomic counters behind [`RuntimeMetrics`] snapshots.
-#[derive(Debug, Default)]
-pub(crate) struct MetricsInner {
-    pub(crate) sessions_active: AtomicU64,
-    pub(crate) ticks_submitted: AtomicU64,
-    pub(crate) ticks_processed: AtomicU64,
-    pub(crate) alarms_raised: AtomicU64,
-    pub(crate) degraded_ticks: AtomicU64,
-    pub(crate) queue_depth_high_water: AtomicU64,
-    pub(crate) alloc_free_ticks: AtomicU64,
-    pub(crate) batched_deadline_queries: AtomicU64,
-    pub(crate) sessions_replicated: AtomicU64,
-    pub(crate) failovers: AtomicU64,
-    pub(crate) replication_lag_hwm: AtomicU64,
-    pub(crate) batch_ticks: AtomicU64,
-    pub(crate) batch_sessions_hwm: AtomicU64,
-    pub(crate) scalar_fallback_ticks: AtomicU64,
-    pub(crate) recalibrations: AtomicU64,
-    pub(crate) log_latency: HistInner,
-    pub(crate) detect_latency: HistInner,
-}
-
-impl MetricsInner {
-    pub(crate) fn snapshot(&self) -> RuntimeMetrics {
-        RuntimeMetrics {
-            sessions_active: self.sessions_active.load(Ordering::Relaxed),
-            ticks_submitted: self.ticks_submitted.load(Ordering::Relaxed),
-            ticks_processed: self.ticks_processed.load(Ordering::Relaxed),
-            alarms_raised: self.alarms_raised.load(Ordering::Relaxed),
-            degraded_ticks: self.degraded_ticks.load(Ordering::Relaxed),
-            queue_depth_high_water: self.queue_depth_high_water.load(Ordering::Relaxed),
-            alloc_free_ticks: self.alloc_free_ticks.load(Ordering::Relaxed),
-            batched_deadline_queries: self.batched_deadline_queries.load(Ordering::Relaxed),
-            sessions_replicated: self.sessions_replicated.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            replication_lag_hwm: self.replication_lag_hwm.load(Ordering::Relaxed),
-            batch_ticks: self.batch_ticks.load(Ordering::Relaxed),
-            batch_sessions_hwm: self.batch_sessions_hwm.load(Ordering::Relaxed),
-            scalar_fallback_ticks: self.scalar_fallback_ticks.load(Ordering::Relaxed),
-            recalibrations: self.recalibrations.load(Ordering::Relaxed),
-            log_latency: self.log_latency.snapshot(),
-            detect_latency: self.detect_latency.snapshot(),
-        }
-    }
-}
-
-/// A consistent-enough point-in-time view of the engine's counters.
+/// Declares a set of metrics once, each with its merge rule, and emits
+/// everything that follows from that one list: the relaxed-atomic
+/// accumulator struct (fields named as declared, bumped directly by
+/// their owners), a `snapshot()` that loads every field, the public
+/// snapshot struct (same names, the declared docs) and its `merged()`.
 ///
-/// All counters accumulate monotonically over the engine's lifetime
-/// (they are not reset by session churn). Individual fields are read
-/// with relaxed atomics: totals can be transiently off by in-flight
-/// ticks relative to each other, but each counter is exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeMetrics {
-    /// Sessions currently open (added and not yet closed).
-    pub sessions_active: u64,
-    /// Ticks accepted into session queues so far.
-    pub ticks_submitted: u64,
-    /// Ticks fully processed (logged + detected) so far.
-    pub ticks_processed: u64,
-    /// Processed ticks whose detection step raised any alarm.
-    pub alarms_raised: u64,
-    /// Processed ticks that took the degraded (no-reachability-query)
-    /// path under overload.
-    pub degraded_ticks: u64,
-    /// Highest number of ticks simultaneously queued across all
-    /// sessions observed so far.
-    pub queue_depth_high_water: u64,
-    /// Non-degraded processed ticks whose detection stage completed
-    /// without heap allocation (aged or cache-hit deadline, or the
-    /// scratch-buffer reachability walk; no cache insert, no
-    /// complementary alarms).
-    pub alloc_free_ticks: u64,
-    /// Deadline-cache entries inserted by *batched* (coalesced)
-    /// reachability walks rather than per-tick misses.
-    pub batched_deadline_queries: u64,
-    /// Session snapshots accepted into this node's replica store by
-    /// the cluster replication ingress (`ReplicateSnapshot` frames
-    /// stored, stale generations excluded).
-    pub sessions_replicated: u64,
-    /// Replica promotions served by this node (`PromoteSession`
-    /// frames that turned a stored replica into a live session).
-    pub failovers: u64,
-    /// Highest replication backlog observed: snapshots queued on the
-    /// egress side but not yet acknowledged by the backup. A
-    /// high-water mark, not a rate — it answers "how stale could the
-    /// backup have been at the worst moment".
-    pub replication_lag_hwm: u64,
-    /// Non-degraded ticks stepped through the cross-session batched
-    /// path (structure-of-arrays lanes in a `BatchPlan` group) rather
-    /// than a per-session scalar step. Zero unless
-    /// `EngineConfig::cross_session_batch` is on.
-    pub batch_ticks: u64,
-    /// Widest lane set a single batched detection step has covered —
-    /// how many sessions actually vectorized together at the best
-    /// moment. A high-water mark, merged by max like the other
-    /// high-waters.
-    pub batch_sessions_hwm: u64,
-    /// Non-degraded ticks that fell back to the scalar path while the
-    /// engine was in batch mode (unbatchable sessions: quantized
-    /// deadline caches). Degraded ticks count in `degraded_ticks`
-    /// only, never here.
-    pub scalar_fallback_ticks: u64,
-    /// Mid-stream plant-model swaps accepted by live sessions
-    /// (`SessionHandle::recalibrate` calls that succeeded). Rejected
-    /// attempts leave the session untouched and are counted at the
-    /// transport layer, not here.
-    pub recalibrations: u64,
-    /// Latency distribution of the logging stage (`DataLogger::record`).
-    pub log_latency: LatencyHistogram,
-    /// Latency distribution of the detection stage
-    /// (`AdaptiveDetector::step` / `step_degraded`).
-    pub detect_latency: LatencyHistogram,
+/// Merge rules:
+///
+/// * `Sum` — an additive counter (or a gauge such as a count of open
+///   sessions, each counted by exactly one accumulator): merging adds,
+///   saturating;
+/// * `Max` — a high-water mark: merging takes the max, because
+///   high-waters of different accumulators are observed at unrelated
+///   instants, so their sum would claim a level that never existed
+///   while the max is one some accumulator really reached;
+/// * `Hist` — a latency histogram (this crate only): merging adds
+///   bucket-wise, which is exact under the shared fixed bounds.
+///
+/// ```
+/// awsad_runtime::metric_set! {
+///     /// The atomics, bumped directly.
+///     struct Counters;
+///     /// A snapshot of them.
+///     pub struct Snapshot {
+///         /// Frames read.
+///         frames_in: Sum,
+///         /// Deepest queue seen.
+///         queue_hwm: Max,
+///     }
+/// }
+/// use std::sync::atomic::Ordering::Relaxed;
+/// let (a, b) = (Counters::default(), Counters::default());
+/// a.frames_in.fetch_add(2, Relaxed);
+/// a.queue_hwm.fetch_max(5, Relaxed);
+/// b.frames_in.fetch_add(3, Relaxed);
+/// b.queue_hwm.fetch_max(4, Relaxed);
+/// let merged = a.snapshot().merged(&b.snapshot());
+/// assert_eq!((merged.frames_in, merged.queue_hwm), (5, 5));
+/// ```
+#[macro_export]
+macro_rules! metric_set {
+    // `Sum` and `Max` share a cell; `@merge` accepts only the three
+    // rules, so a misspelt rule fails to compile there.
+    (@cell Hist) => { $crate::metrics::HistInner };
+    (@cell $counter:ident) => { ::std::sync::atomic::AtomicU64 };
+    (@value Hist) => { $crate::LatencyHistogram };
+    (@value $counter:ident) => { u64 };
+    (@load Hist, $cell:expr) => { $cell.snapshot() };
+    (@load $counter:ident, $cell:expr) => { $cell.load(::std::sync::atomic::Ordering::Relaxed) };
+    (@merge Sum, $a:expr, $b:expr) => { $a.saturating_add($b) };
+    (@merge Max, $a:expr, $b:expr) => { $a.max($b) };
+    (@merge Hist, $a:expr, $b:expr) => { $a.merged(&$b) };
+    (
+        $(#[$cells_attr:meta])*
+        $vis:vis struct $cells:ident;
+        $(#[$snap_attr:meta])*
+        pub struct $snap:ident {
+            $($(#[$doc:meta])* $name:ident: $rule:ident,)*
+        }
+    ) => {
+        $(#[$cells_attr])*
+        #[derive(Debug, Default)]
+        $vis struct $cells {
+            $($vis $name: $crate::metric_set!(@cell $rule),)*
+        }
+
+        impl $cells {
+            /// A point-in-time copy of every metric (relaxed loads: each
+            /// value is exact, totals may be off by in-flight updates
+            /// relative to each other).
+            $vis fn snapshot(&self) -> $snap {
+                $snap {
+                    $($name: $crate::metric_set!(@load $rule, self.$name),)*
+                }
+            }
+        }
+
+        $(#[$snap_attr])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $snap {
+            $($(#[$doc])* pub $name: $crate::metric_set!(@value $rule),)*
+        }
+
+        impl $snap {
+            /// Combines two snapshots into the view one accumulator
+            /// recording both workloads would have reported: every
+            /// metric merges by its declared rule (`Sum` adds,
+            /// saturating; `Max` takes the max; histograms add
+            /// bucket-wise).
+            pub fn merged(&self, other: &$snap) -> $snap {
+                $snap {
+                    $($name: $crate::metric_set!(@merge $rule, self.$name, other.$name),)*
+                }
+            }
+        }
+    };
+}
+
+metric_set! {
+    /// Shared atomic counters behind [`RuntimeMetrics`] snapshots.
+    pub(crate) struct MetricsInner;
+
+    /// A consistent-enough point-in-time view of the engine's counters.
+    ///
+    /// All counters accumulate monotonically over the engine's lifetime
+    /// (they are not reset by session churn). Individual fields are read
+    /// with relaxed atomics: totals can be transiently off by in-flight
+    /// ticks relative to each other, but each counter is exact.
+    ///
+    /// [`RuntimeMetrics::merged`] is the aggregation contract for
+    /// sharded deployments (one `DetectionEngine` per I/O shard): it
+    /// yields the view a single engine doing both workloads would have
+    /// reported. Additive counters sum, the open-session count sums
+    /// because a session lives on exactly one shard, and the high-water
+    /// marks (declared `Max`) take the max.
+    pub struct RuntimeMetrics {
+        /// Sessions currently open (added and not yet closed).
+        sessions_active: Sum,
+        /// Ticks accepted into session queues so far.
+        ticks_submitted: Sum,
+        /// Ticks fully processed (logged + detected) so far.
+        ticks_processed: Sum,
+        /// Processed ticks whose detection step raised any alarm.
+        alarms_raised: Sum,
+        /// Processed ticks that took the degraded (no-reachability-query)
+        /// path under overload.
+        degraded_ticks: Sum,
+        /// Highest number of ticks simultaneously queued across all
+        /// sessions observed so far.
+        queue_depth_high_water: Max,
+        /// Non-degraded processed ticks whose detection stage completed
+        /// without heap allocation (aged or cache-hit deadline, or the
+        /// scratch-buffer reachability walk; no cache insert, no
+        /// complementary alarms).
+        alloc_free_ticks: Sum,
+        /// Deadline-cache entries inserted by *batched* (coalesced)
+        /// reachability walks rather than per-tick misses.
+        batched_deadline_queries: Sum,
+        /// Session snapshots accepted into this node's replica store by
+        /// the cluster replication ingress (`ReplicateSnapshot` frames
+        /// stored, stale generations excluded).
+        sessions_replicated: Sum,
+        /// Replica promotions served by this node (`PromoteSession`
+        /// frames that turned a stored replica into a live session).
+        failovers: Sum,
+        /// Highest replication backlog observed: snapshots queued on the
+        /// egress side but not yet acknowledged by the backup. A
+        /// high-water mark, not a rate — it answers "how stale could the
+        /// backup have been at the worst moment".
+        replication_lag_hwm: Max,
+        /// Non-degraded ticks stepped through the cross-session batched
+        /// path (structure-of-arrays lanes in a `BatchPlan` group) rather
+        /// than a per-session scalar step. Zero unless
+        /// `EngineConfig::cross_session_batch` is on.
+        batch_ticks: Sum,
+        /// Widest lane set a single batched detection step has covered —
+        /// how many sessions actually vectorized together at the best
+        /// moment. A high-water mark.
+        batch_sessions_hwm: Max,
+        /// Non-degraded ticks that fell back to the scalar path while the
+        /// engine was in batch mode (unbatchable sessions: quantized
+        /// deadline caches). Degraded ticks count as degraded only,
+        /// never here.
+        scalar_fallback_ticks: Sum,
+        /// Mid-stream plant-model swaps accepted by live sessions
+        /// (`SessionHandle::recalibrate` calls that succeeded). Rejected
+        /// attempts leave the session untouched and are counted at the
+        /// transport layer, not here.
+        recalibrations: Sum,
+        /// Latency distribution of the logging stage (`DataLogger::record`).
+        log_latency: Hist,
+        /// Latency distribution of the detection stage
+        /// (`AdaptiveDetector::step` / `step_degraded`).
+        detect_latency: Hist,
+    }
 }
 
 impl RuntimeMetrics {
@@ -280,53 +342,7 @@ impl RuntimeMetrics {
     /// [`RuntimeMetrics::merged`], so a fleet of shards can fold
     /// their snapshots without special-casing the empty fleet.
     pub fn zero() -> RuntimeMetrics {
-        MetricsInner::default().snapshot()
-    }
-
-    /// Combines two independent engine snapshots into the view a
-    /// single engine doing both workloads would have reported.
-    ///
-    /// This is the aggregation contract for sharded deployments
-    /// (one `DetectionEngine` per I/O shard): additive counters sum
-    /// (saturating), `sessions_active` sums because a session lives
-    /// on exactly one shard, `queue_depth_high_water` takes the max —
-    /// per-shard high-waters are observed at unrelated instants, so
-    /// their sum would claim a global depth that never existed, while
-    /// the max is a depth some queue really reached — and latency
-    /// histograms merge elementwise (exact; shared fixed bounds).
-    pub fn merged(&self, other: &RuntimeMetrics) -> RuntimeMetrics {
-        RuntimeMetrics {
-            sessions_active: self.sessions_active.saturating_add(other.sessions_active),
-            ticks_submitted: self.ticks_submitted.saturating_add(other.ticks_submitted),
-            ticks_processed: self.ticks_processed.saturating_add(other.ticks_processed),
-            alarms_raised: self.alarms_raised.saturating_add(other.alarms_raised),
-            degraded_ticks: self.degraded_ticks.saturating_add(other.degraded_ticks),
-            queue_depth_high_water: self
-                .queue_depth_high_water
-                .max(other.queue_depth_high_water),
-            alloc_free_ticks: self.alloc_free_ticks.saturating_add(other.alloc_free_ticks),
-            batched_deadline_queries: self
-                .batched_deadline_queries
-                .saturating_add(other.batched_deadline_queries),
-            sessions_replicated: self
-                .sessions_replicated
-                .saturating_add(other.sessions_replicated),
-            failovers: self.failovers.saturating_add(other.failovers),
-            // Like queue_depth_high_water: per-shard high-waters are
-            // from unrelated instants, so the max is the only honest
-            // aggregate.
-            replication_lag_hwm: self.replication_lag_hwm.max(other.replication_lag_hwm),
-            batch_ticks: self.batch_ticks.saturating_add(other.batch_ticks),
-            // A lane width some batched step really reached; sums
-            // would claim widths that never existed.
-            batch_sessions_hwm: self.batch_sessions_hwm.max(other.batch_sessions_hwm),
-            scalar_fallback_ticks: self
-                .scalar_fallback_ticks
-                .saturating_add(other.scalar_fallback_ticks),
-            recalibrations: self.recalibrations.saturating_add(other.recalibrations),
-            log_latency: self.log_latency.merged(&other.log_latency),
-            detect_latency: self.detect_latency.merged(&other.detect_latency),
-        }
+        RuntimeMetrics::default()
     }
 }
 
@@ -514,6 +530,105 @@ mod tests {
         // zero() is the fold identity and merge is symmetric.
         assert_eq!(RuntimeMetrics::zero().merged(&merged), merged);
         assert_eq!(b.snapshot().merged(&a.snapshot()), merged);
+    }
+
+    /// Every engine counter, in declaration order, named here rather
+    /// than read from the declaration.
+    fn counters(m: &RuntimeMetrics) -> [(&'static str, u64); 15] {
+        [
+            ("sessions_active", m.sessions_active),
+            ("ticks_submitted", m.ticks_submitted),
+            ("ticks_processed", m.ticks_processed),
+            ("alarms_raised", m.alarms_raised),
+            ("degraded_ticks", m.degraded_ticks),
+            ("queue_depth_high_water", m.queue_depth_high_water),
+            ("alloc_free_ticks", m.alloc_free_ticks),
+            ("batched_deadline_queries", m.batched_deadline_queries),
+            ("sessions_replicated", m.sessions_replicated),
+            ("failovers", m.failovers),
+            ("replication_lag_hwm", m.replication_lag_hwm),
+            ("batch_ticks", m.batch_ticks),
+            ("batch_sessions_hwm", m.batch_sessions_hwm),
+            ("scalar_fallback_ticks", m.scalar_fallback_ticks),
+            ("recalibrations", m.recalibrations),
+        ]
+    }
+
+    #[test]
+    fn every_counter_merges_by_its_rule() {
+        // The high-water marks; every other counter sums.
+        const MAX: [&str; 3] = [
+            "queue_depth_high_water",
+            "replication_lag_hwm",
+            "batch_sessions_hwm",
+        ];
+        let hist = |ns: u64| {
+            let h = HistInner::default();
+            h.record(Duration::from_nanos(ns));
+            h.snapshot()
+        };
+        // Distinct values everywhere; one high-water is larger on each
+        // side, and one sum saturates.
+        let a = RuntimeMetrics {
+            sessions_active: 1,
+            ticks_submitted: 2,
+            ticks_processed: 3,
+            alarms_raised: 4,
+            degraded_ticks: 5,
+            queue_depth_high_water: 6,
+            alloc_free_ticks: 7,
+            batched_deadline_queries: 8,
+            sessions_replicated: 9,
+            failovers: 10,
+            replication_lag_hwm: 11_000,
+            batch_ticks: 12,
+            batch_sessions_hwm: 13,
+            scalar_fallback_ticks: 14,
+            recalibrations: u64::MAX - 1,
+            log_latency: hist(100),
+            detect_latency: hist(1_000),
+        };
+        let b = RuntimeMetrics {
+            sessions_active: 100,
+            ticks_submitted: 200,
+            ticks_processed: 300,
+            alarms_raised: 400,
+            degraded_ticks: 500,
+            queue_depth_high_water: 600,
+            alloc_free_ticks: 700,
+            batched_deadline_queries: 800,
+            sessions_replicated: 900,
+            failovers: 1_000,
+            replication_lag_hwm: 1_100,
+            batch_ticks: 1_200,
+            batch_sessions_hwm: 1_300,
+            scalar_fallback_ticks: 1_400,
+            recalibrations: 1_500,
+            log_latency: hist(10_000),
+            detect_latency: hist(100_000),
+        };
+        let merged = a.merged(&b);
+        let (ca, cb, cm) = (counters(&a), counters(&b), counters(&merged));
+        for i in 0..ca.len() {
+            let (name, x, y) = (ca[i].0, ca[i].1, cb[i].1);
+            let want = if MAX.contains(&name) {
+                x.max(y)
+            } else {
+                x.saturating_add(y)
+            };
+            assert_eq!(cm[i], (name, want), "{name}");
+        }
+        assert_eq!(merged.recalibrations, u64::MAX, "sums saturate");
+        assert_eq!(merged.log_latency, a.log_latency.merged(&b.log_latency));
+        assert_eq!(
+            merged.detect_latency,
+            a.detect_latency.merged(&b.detect_latency)
+        );
+        // zero() is the identity on both sides, and merge is symmetric.
+        let zero = RuntimeMetrics::zero();
+        assert_eq!(zero.merged(&a), a);
+        assert_eq!(a.merged(&zero), a);
+        assert_eq!(b.merged(&a), merged);
     }
 
     #[test]

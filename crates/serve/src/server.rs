@@ -174,28 +174,38 @@ impl Default for ServerConfig {
     }
 }
 
-/// A point-in-time copy of the server's transport counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TransportMetrics {
-    /// Frames successfully decoded across all connections.
-    pub frames_in: u64,
-    /// Reply frames written across all connections.
-    pub frames_out: u64,
-    /// Malformed or oversized frames observed (each one also drops
-    /// its connection).
-    pub decode_errors: u64,
-    /// Connections accepted over the server's lifetime.
-    pub connections_opened: u64,
-    /// Connections torn down for cause — decode error or transport
-    /// I/O failure (clean client closes do not count).
-    pub connections_dropped: u64,
-    /// Sessions closed by the idle-TTL sweep
-    /// ([`ServerConfig::session_ttl`]).
-    pub sessions_evicted: u64,
-    /// `Recalibrate` requests refused without touching their session
-    /// (wrong dimensions or a model the detector rejected). Accepted
-    /// swaps count in [`RuntimeMetrics::recalibrations`] instead.
-    pub recalibrations_rejected: u64,
+awsad_runtime::metric_set! {
+    /// One session service's transport counters, bumped directly.
+    pub(crate) struct TransportCounters;
+
+    /// A point-in-time copy of the server's transport counters, summed
+    /// across its session services.
+    pub struct TransportMetrics {
+        /// Frames successfully decoded across all connections.
+        frames_in: Sum,
+        /// Reply frames written across all connections.
+        frames_out: Sum,
+        /// Malformed or oversized frames observed (each one also drops
+        /// its connection).
+        decode_errors: Sum,
+        /// Connections accepted over the server's lifetime.
+        connections_opened: Sum,
+        /// Connections torn down for cause — decode error or transport
+        /// I/O failure (clean client closes do not count).
+        connections_dropped: Sum,
+        /// Sessions closed by the idle-TTL sweep
+        /// ([`ServerConfig::session_ttl`]).
+        sessions_evicted: Sum,
+        /// `Recalibrate` requests refused without touching their session
+        /// (wrong dimensions or a model the detector rejected). Accepted
+        /// swaps count in [`RuntimeMetrics::recalibrations`] instead.
+        recalibrations_rejected: Sum,
+        /// Frames whose bytes arrived torn across more than one
+        /// readiness wakeup and were completed by the incremental
+        /// decoder resuming mid-frame. Always `0` on the blocking
+        /// server, whose reads park until the frame completes.
+        partial_frame_resumes: Sum,
+    }
 }
 
 struct ServerShared {
@@ -572,10 +582,9 @@ pub fn wire_latency(hist: &LatencyHistogram) -> WireLatency {
 /// Folds an engine snapshot plus transport counters into the
 /// `MetricsReply` image. The single construction path for metrics
 /// replies: the session service feeds it every engine's snapshot
-/// folded with [`RuntimeMetrics::merged`] plus the summed transport
-/// counters, and a sharded server then fills the shard-specific
-/// appended fields (`shards`, `partial_frame_resumes`) — which stay
-/// zero here, marking an unsharded reply.
+/// folded with [`RuntimeMetrics::merged`] plus the transport counters
+/// folded the same way, and a sharded server then fills in `shards` —
+/// which stays zero here, marking an unsharded reply.
 pub fn wire_metrics(engine: &RuntimeMetrics, transport: &TransportMetrics) -> WireMetrics {
     WireMetrics {
         sessions_active: engine.sessions_active,
@@ -595,7 +604,7 @@ pub fn wire_metrics(engine: &RuntimeMetrics, transport: &TransportMetrics) -> Wi
         batched_deadline_queries: engine.batched_deadline_queries,
         sessions_evicted: transport.sessions_evicted,
         shards: 0,
-        partial_frame_resumes: 0,
+        partial_frame_resumes: transport.partial_frame_resumes,
         sessions_replicated: engine.sessions_replicated,
         failovers: engine.failovers,
         replication_lag_hwm: engine.replication_lag_hwm,

@@ -41,7 +41,8 @@ use awsad_linalg::{Matrix, Vector};
 use awsad_runtime::{DetectionEngine, RuntimeMetrics, SessionHandle, Tick, TickOutcome};
 
 use crate::server::{
-    session_parts_for_spec, wire_metrics, ReplicationUpdate, ServerConfig, TransportMetrics,
+    session_parts_for_spec, wire_metrics, ReplicationUpdate, ServerConfig, TransportCounters,
+    TransportMetrics,
 };
 use crate::wire::{
     ErrorCode, Frame, SessionSpec, WireMetrics, WireOutcome, WireSessionState, WireTick,
@@ -121,19 +122,6 @@ impl ReplicaStore {
     }
 }
 
-/// One service's transport counters.
-#[derive(Debug, Default)]
-struct Counters {
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    decode_errors: AtomicU64,
-    connections_opened: AtomicU64,
-    connections_dropped: AtomicU64,
-    sessions_evicted: AtomicU64,
-    recalibrations_rejected: AtomicU64,
-    partial_frame_resumes: AtomicU64,
-}
-
 fn bump(counter: &AtomicU64, by: u64) {
     counter.fetch_add(by, Ordering::Relaxed);
 }
@@ -141,7 +129,7 @@ fn bump(counter: &AtomicU64, by: u64) {
 /// One engine and the counters of the service that drives it.
 struct Lane {
     engine: DetectionEngine,
-    counters: Counters,
+    counters: TransportCounters,
 }
 
 /// What the services of one server share.
@@ -268,14 +256,14 @@ pub struct SessionService {
 impl SessionService {
     /// Builds the `lanes` services of one server, each with its own
     /// engine built from `config.engine`, sharing `config` and one
-    /// replica store. `sharded` servers report the lane count and
-    /// the partial-frame resumes in metrics replies.
+    /// replica store. `sharded` servers report the lane count in
+    /// metrics replies.
     pub fn for_server(config: ServerConfig, lanes: usize, sharded: bool) -> Vec<SessionService> {
         let node = Arc::new(Node {
             lanes: (0..lanes)
                 .map(|_| Lane {
                     engine: DetectionEngine::new(config.engine.clone()),
-                    counters: Counters::default(),
+                    counters: TransportCounters::default(),
                 })
                 .collect(),
             config,
@@ -304,7 +292,7 @@ impl SessionService {
         &self.node.lanes[self.index].engine
     }
 
-    fn counters(&self) -> &Counters {
+    fn counters(&self) -> &TransportCounters {
         &self.node.lanes[self.index].counters
     }
 
@@ -319,30 +307,15 @@ impl SessionService {
             .expect("a server has at least one lane")
     }
 
-    /// Transport counters across every service of this server, summed.
+    /// Transport counters across every service of this server, folded
+    /// with [`TransportMetrics::merged`] (every one sums).
     pub fn transport_metrics(&self) -> TransportMetrics {
-        TransportMetrics {
-            frames_in: self.counter_sum(|c| &c.frames_in),
-            frames_out: self.counter_sum(|c| &c.frames_out),
-            decode_errors: self.counter_sum(|c| &c.decode_errors),
-            connections_opened: self.counter_sum(|c| &c.connections_opened),
-            connections_dropped: self.counter_sum(|c| &c.connections_dropped),
-            sessions_evicted: self.counter_sum(|c| &c.sessions_evicted),
-            recalibrations_rejected: self.counter_sum(|c| &c.recalibrations_rejected),
-        }
-    }
-
-    /// Frames completed by mid-frame resume across every service.
-    pub fn partial_frame_resumes(&self) -> u64 {
-        self.counter_sum(|c| &c.partial_frame_resumes)
-    }
-
-    fn counter_sum(&self, field: fn(&Counters) -> &AtomicU64) -> u64 {
         self.node
             .lanes
             .iter()
-            .map(|lane| field(&lane.counters).load(Ordering::Relaxed))
-            .sum()
+            .map(|lane| lane.counters.snapshot())
+            .reduce(|acc, m| acc.merged(&m))
+            .expect("a server has at least one lane")
     }
 
     /// Counts an accepted connection.
@@ -580,7 +553,6 @@ impl SessionService {
         let mut wm = wire_metrics(&self.engine_metrics(), &self.transport_metrics());
         if self.node.sharded {
             wm.shards = self.node.lanes.len() as u64;
-            wm.partial_frame_resumes = self.partial_frame_resumes();
         }
         wm
     }
@@ -827,6 +799,37 @@ mod tests {
         // ... and the failed promotion puts the old copy back.
         store.put_back(7, taken);
         assert_eq!(store.take(7).unwrap().generation, 2);
+    }
+
+    #[test]
+    fn transport_counters_sum_across_lanes() {
+        let services = SessionService::for_server(ServerConfig::default(), 3, true);
+        services[0].connection_opened();
+        services[1].connection_opened();
+        services[1].connection_dropped();
+        services[2].frames_resumed(5);
+        services[2].frames_resumed(2);
+        services[0].frames_resumed(1);
+        let m = services[1].transport_metrics();
+        assert_eq!(m.connections_opened, 2);
+        assert_eq!(m.connections_dropped, 1);
+        assert_eq!(m.partial_frame_resumes, 8);
+        assert_eq!(m.frames_in, 0);
+        // Every service reports the same server-wide sums.
+        assert_eq!(services[0].transport_metrics(), m);
+        let Served::Reply(Frame::MetricsReply(wm)) = services[2].serve(1, Frame::MetricsQuery)
+        else {
+            panic!("metrics query failed");
+        };
+        assert_eq!(
+            (
+                wm.shards,
+                wm.connections_opened,
+                wm.partial_frame_resumes,
+                wm.frames_in
+            ),
+            (3, 2, 8, 1)
+        );
     }
 
     #[test]

@@ -501,7 +501,7 @@ impl WireSessionState {
 }
 
 /// Wire image of one latency-stage summary.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WireLatency {
     /// Samples recorded.
     pub count: u64,
@@ -517,7 +517,11 @@ pub struct WireLatency {
 
 /// Wire image of the engine counters plus the server's own transport
 /// counters, returned by `MetricsQuery`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// The fields travel in the order of [`WireMetrics::FIELDS`]. The
+/// counters appended after the v1 body read zero when a reply comes
+/// from a peer that predates them (see [`WireMetrics::GENERATIONS`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WireMetrics {
     /// Sessions currently open on the engine.
     pub sessions_active: u64,
@@ -546,67 +550,106 @@ pub struct WireMetrics {
     /// Connections torn down for cause (decode error, I/O error).
     pub connections_dropped: u64,
     /// Non-degraded ticks whose detection stage ran without heap
-    /// allocation (see `RuntimeMetrics::alloc_free_ticks`).
-    ///
-    /// Appended after the v1 field set; a reply from an older server
-    /// decodes with this zeroed (see [`Frame::decode`]'s append-only
-    /// handling).
+    /// allocation (the engine counter of the same name).
     pub alloc_free_ticks: u64,
     /// Deadline-cache entries inserted by coalesced batched walks
-    /// (see `RuntimeMetrics::batched_deadline_queries`). Appended
-    /// after the v1 field set, zeroed when absent.
+    /// (the engine counter of the same name).
     pub batched_deadline_queries: u64,
-    /// Sessions evicted by the server's idle-TTL sweep. Third appended
-    /// counter (after the two above), zeroed when absent.
+    /// Sessions evicted by the server's idle-TTL sweep.
     pub sessions_evicted: u64,
     /// Number of I/O shards whose engines were merged into this reply.
     /// `0` means the reply came from an unsharded (blocking) server.
-    /// Fourth appended counter; always written together with
-    /// [`WireMetrics::partial_frame_resumes`], zeroed when absent.
     pub shards: u64,
     /// Frames whose bytes arrived torn across more than one readiness
     /// wakeup and were completed by the incremental decoder resuming
     /// mid-frame. Always `0` on the blocking server (its reads park
-    /// until the frame completes, so nothing "resumes"). Fifth
-    /// appended counter, written together with [`WireMetrics::shards`],
-    /// zeroed when absent.
+    /// until the frame completes, so nothing "resumes").
     pub partial_frame_resumes: u64,
     /// Session snapshots accepted into this server's replica store by
     /// cluster replication ingress (`ReplicateSnapshot` frames stored;
-    /// stale generations excluded). Sixth appended counter, always
-    /// written together with the two below, zeroed when absent.
+    /// stale generations excluded).
     pub sessions_replicated: u64,
     /// Replica promotions served (`PromoteSession` frames that turned
-    /// a stored backup into a live session). Seventh appended counter,
-    /// zeroed when absent.
+    /// a stored backup into a live session).
     pub failovers: u64,
     /// Highest replication backlog observed on the egress side
     /// (snapshots queued but not yet acknowledged by the backup) —
     /// merged across shards by max, like `queue_depth_high_water`.
-    /// Eighth appended counter, zeroed when absent.
     pub replication_lag_hwm: u64,
     /// Non-degraded ticks stepped through the cross-session batched
-    /// detection path (see `RuntimeMetrics::batch_ticks`). Ninth
-    /// appended counter, always written together with the two below,
-    /// zeroed when absent.
+    /// detection path (the engine counter of the same name).
     pub batch_ticks: u64,
     /// Widest lane set a single batched detection step has covered —
     /// merged across shards by max, like `queue_depth_high_water`.
-    /// Tenth appended counter, zeroed when absent.
     pub batch_sessions_hwm: u64,
     /// Non-degraded ticks that fell back to the scalar path while the
-    /// engine was in batch mode. Eleventh appended counter, zeroed
-    /// when absent.
+    /// engine was in batch mode.
     pub scalar_fallback_ticks: u64,
     /// Mid-stream recalibrations accepted (`Recalibrate` frames that
-    /// swapped a session's plant model in place). Twelfth appended
-    /// counter, always written together with the one below, zeroed
-    /// when absent.
+    /// swapped a session's plant model in place).
     pub recalibrations: u64,
     /// `Recalibrate` frames rejected (unknown session, malformed
-    /// matrices, or a model the estimator refused). Thirteenth
-    /// appended counter, zeroed when absent.
+    /// matrices, or a model the estimator refused).
     pub recalibrations_rejected: u64,
+}
+
+/// One [`WireMetrics`] field in the wire table, named by its accessor.
+#[derive(Clone, Copy)]
+pub enum MetricField {
+    /// A `u64` counter.
+    Counter(fn(&mut WireMetrics) -> &mut u64),
+    /// A latency summary.
+    Latency(fn(&mut WireMetrics) -> &mut WireLatency),
+}
+
+impl WireMetrics {
+    /// Every field in wire order: the v1 body (the first
+    /// [`WireMetrics::BASE`] rows), then the counters appended since,
+    /// oldest first. New counters go at the end.
+    pub const FIELDS: [MetricField; 26] = [
+        MetricField::Counter(|m| &mut m.sessions_active),
+        MetricField::Counter(|m| &mut m.ticks_submitted),
+        MetricField::Counter(|m| &mut m.ticks_processed),
+        MetricField::Counter(|m| &mut m.alarms_raised),
+        MetricField::Counter(|m| &mut m.degraded_ticks),
+        MetricField::Counter(|m| &mut m.queue_depth_high_water),
+        MetricField::Latency(|m| &mut m.log_latency),
+        MetricField::Latency(|m| &mut m.detect_latency),
+        MetricField::Counter(|m| &mut m.frames_in),
+        MetricField::Counter(|m| &mut m.frames_out),
+        MetricField::Counter(|m| &mut m.decode_errors),
+        MetricField::Counter(|m| &mut m.connections_opened),
+        MetricField::Counter(|m| &mut m.connections_dropped),
+        MetricField::Counter(|m| &mut m.alloc_free_ticks),
+        MetricField::Counter(|m| &mut m.batched_deadline_queries),
+        MetricField::Counter(|m| &mut m.sessions_evicted),
+        MetricField::Counter(|m| &mut m.shards),
+        MetricField::Counter(|m| &mut m.partial_frame_resumes),
+        MetricField::Counter(|m| &mut m.sessions_replicated),
+        MetricField::Counter(|m| &mut m.failovers),
+        MetricField::Counter(|m| &mut m.replication_lag_hwm),
+        MetricField::Counter(|m| &mut m.batch_ticks),
+        MetricField::Counter(|m| &mut m.batch_sessions_hwm),
+        MetricField::Counter(|m| &mut m.scalar_fallback_ticks),
+        MetricField::Counter(|m| &mut m.recalibrations),
+        MetricField::Counter(|m| &mut m.recalibrations_rejected),
+    ];
+
+    /// Rows of [`WireMetrics::FIELDS`] in the v1 body every peer sends.
+    pub const BASE: usize = 13;
+
+    /// The peer generations: how many appended counters each revision
+    /// of the protocol writes, oldest first. Every peer writes its
+    /// whole set, so a decoder reads the base fields and then the
+    /// largest generation `g` with `remaining >= 8·g`; what is left
+    /// (0 or 8 bytes) is the correlation id.
+    ///
+    /// Invariant: a generation `g` whose peers send correlation ids
+    /// needs `g + 1` not to be a generation, or its id would read as
+    /// one more counter. The two-counter peers predate ids (so `3`
+    /// may follow `2`), and the eleven-counter generation was followed
+    /// by thirteen, not twelve, for this reason.
+    pub const GENERATIONS: [usize; 6] = [2, 3, 5, 8, 11, 13];
 }
 
 /// One shard server in a cluster ring announcement
@@ -889,6 +932,28 @@ impl Enc {
         self.u64(l.overflow);
     }
 
+    /// The spec fields every spec-carrying frame starts with; the
+    /// output-map extension goes at the frame's end
+    /// ([`Enc::spec_extension`]).
+    fn spec(&mut self, spec: &SessionSpec) {
+        self.u8(spec.model);
+        self.u32(spec.max_window);
+        self.u32(spec.min_window);
+        self.f64s(&spec.threshold);
+        self.u32(spec.cache_capacity);
+    }
+
+    fn metrics(&mut self, m: &WireMetrics) {
+        // The accessors hand out `&mut`, so they run on a copy.
+        let mut m = *m;
+        for field in WireMetrics::FIELDS {
+            match field {
+                MetricField::Counter(f) => self.u64(*f(&mut m)),
+                MetricField::Latency(f) => self.latency(f(&mut m)),
+            }
+        }
+    }
+
     /// Appends the spec's output-map extension — only when a map is
     /// present, so legacy (`C = I`) frames are byte-identical to what
     /// older peers emit. A written extension is at least 16 bytes
@@ -1034,6 +1099,49 @@ impl<'a> Dec<'a> {
             p99_bound_ns: self.opt_u64()?,
             overflow: self.u64()?,
         })
+    }
+
+    /// The spec fields every spec-carrying frame starts with, with no
+    /// output map yet ([`Dec::spec_extension`] reads it at the end).
+    fn spec(&mut self) -> Result<SessionSpec, WireError> {
+        Ok(SessionSpec {
+            model: self.u8()?,
+            max_window: self.u32()?,
+            min_window: self.u32()?,
+            threshold: self.f64s()?,
+            cache_capacity: self.u32()?,
+            output_rows: 0,
+            output_map: Vec::new(),
+        })
+    }
+
+    /// Reads the base fields, then the largest generation of appended
+    /// counters that fits in what is left (see
+    /// [`WireMetrics::GENERATIONS`]); the rest read zero.
+    fn metrics(&mut self) -> Result<WireMetrics, WireError> {
+        let mut m = WireMetrics::default();
+        let (base, appended) = WireMetrics::FIELDS.split_at(WireMetrics::BASE);
+        self.metric_fields(&mut m, base)?;
+        let generation = WireMetrics::GENERATIONS
+            .into_iter()
+            .rfind(|&g| self.remaining() >= 8 * g)
+            .unwrap_or(0);
+        self.metric_fields(&mut m, &appended[..generation])?;
+        Ok(m)
+    }
+
+    fn metric_fields(
+        &mut self,
+        m: &mut WireMetrics,
+        fields: &[MetricField],
+    ) -> Result<(), WireError> {
+        for field in fields {
+            match field {
+                MetricField::Counter(f) => *f(m) = self.u64()?,
+                MetricField::Latency(f) => *f(m) = self.latency()?,
+            }
+        }
+        Ok(())
     }
 
     fn session_state(&mut self) -> Result<WireSessionState, WireError> {
@@ -1262,11 +1370,7 @@ impl Frame {
             Frame::Hello { client } => e.str(client),
             Frame::HelloAck { server } => e.str(server),
             Frame::OpenSession(spec) => {
-                e.u8(spec.model);
-                e.u32(spec.max_window);
-                e.u32(spec.min_window);
-                e.f64s(&spec.threshold);
-                e.u32(spec.cache_capacity);
+                e.spec(spec);
                 e.spec_extension(spec);
             }
             Frame::SessionOpened {
@@ -1304,48 +1408,14 @@ impl Frame {
                 e.u64(*session);
             }
             Frame::MetricsQuery => {}
-            Frame::MetricsReply(m) => {
-                e.u64(m.sessions_active);
-                e.u64(m.ticks_submitted);
-                e.u64(m.ticks_processed);
-                e.u64(m.alarms_raised);
-                e.u64(m.degraded_ticks);
-                e.u64(m.queue_depth_high_water);
-                e.latency(&m.log_latency);
-                e.latency(&m.detect_latency);
-                e.u64(m.frames_in);
-                e.u64(m.frames_out);
-                e.u64(m.decode_errors);
-                e.u64(m.connections_opened);
-                e.u64(m.connections_dropped);
-                // Appended after the v1 field set — same wire version.
-                // Decoders treat these as optional-when-absent, so old
-                // and new peers interoperate without a version bump.
-                e.u64(m.alloc_free_ticks);
-                e.u64(m.batched_deadline_queries);
-                e.u64(m.sessions_evicted);
-                e.u64(m.shards);
-                e.u64(m.partial_frame_resumes);
-                e.u64(m.sessions_replicated);
-                e.u64(m.failovers);
-                e.u64(m.replication_lag_hwm);
-                e.u64(m.batch_ticks);
-                e.u64(m.batch_sessions_hwm);
-                e.u64(m.scalar_fallback_ticks);
-                e.u64(m.recalibrations);
-                e.u64(m.recalibrations_rejected);
-            }
+            Frame::MetricsReply(m) => e.metrics(m),
             Frame::SnapshotSession { session } => e.u64(*session),
             Frame::SessionSnapshot { session, state } => {
                 e.u64(*session);
                 e.session_state(state);
             }
             Frame::RestoreSession { spec, state } => {
-                e.u8(spec.model);
-                e.u32(spec.max_window);
-                e.u32(spec.min_window);
-                e.f64s(&spec.threshold);
-                e.u32(spec.cache_capacity);
+                e.spec(spec);
                 e.session_state(state);
                 e.spec_extension(spec);
             }
@@ -1361,11 +1431,7 @@ impl Frame {
             } => {
                 e.u64(*key);
                 e.u64(*generation);
-                e.u8(spec.model);
-                e.u32(spec.max_window);
-                e.u32(spec.min_window);
-                e.f64s(&spec.threshold);
-                e.u32(spec.cache_capacity);
+                e.spec(spec);
                 e.session_state(state);
                 e.spec_extension(spec);
             }
@@ -1443,15 +1509,7 @@ impl Frame {
             FRAME_HELLO => Frame::Hello { client: d.str()? },
             FRAME_HELLO_ACK => Frame::HelloAck { server: d.str()? },
             FRAME_OPEN_SESSION => {
-                let mut spec = SessionSpec {
-                    model: d.u8()?,
-                    max_window: d.u32()?,
-                    min_window: d.u32()?,
-                    threshold: d.f64s()?,
-                    cache_capacity: d.u32()?,
-                    output_rows: 0,
-                    output_map: Vec::new(),
-                };
+                let mut spec = d.spec()?;
                 d.spec_extension(&mut spec)?;
                 Frame::OpenSession(spec)
             }
@@ -1493,123 +1551,14 @@ impl Frame {
             FRAME_CLOSE_SESSION => Frame::CloseSession { session: d.u64()? },
             FRAME_SESSION_CLOSED => Frame::SessionClosed { session: d.u64()? },
             FRAME_METRICS_QUERY => Frame::MetricsQuery,
-            FRAME_METRICS_REPLY => {
-                let mut m = WireMetrics {
-                    sessions_active: d.u64()?,
-                    ticks_submitted: d.u64()?,
-                    ticks_processed: d.u64()?,
-                    alarms_raised: d.u64()?,
-                    degraded_ticks: d.u64()?,
-                    queue_depth_high_water: d.u64()?,
-                    log_latency: d.latency()?,
-                    detect_latency: d.latency()?,
-                    frames_in: d.u64()?,
-                    frames_out: d.u64()?,
-                    decode_errors: d.u64()?,
-                    connections_opened: d.u64()?,
-                    connections_dropped: d.u64()?,
-                    alloc_free_ticks: 0,
-                    batched_deadline_queries: 0,
-                    sessions_evicted: 0,
-                    shards: 0,
-                    partial_frame_resumes: 0,
-                    sessions_replicated: 0,
-                    failovers: 0,
-                    replication_lag_hwm: 0,
-                    batch_ticks: 0,
-                    batch_sessions_hwm: 0,
-                    scalar_fallback_ticks: 0,
-                    recalibrations: 0,
-                    recalibrations_rejected: 0,
-                };
-                // Append-only extensions, oldest first. The remaining
-                // byte count disambiguates each generation because
-                // every peer generation writes its *whole* counter set:
-                // ≥ 104 means all thirteen counters are present (an
-                // eleven-counter peer plus a correlation id is 96,
-                // safely below — which is also why the extension jumped
-                // from eleven counters straight to thirteen: a twelfth
-                // alone would encode as 96 bytes and collide with
-                // eleven + id); ≥ 88 means exactly the first eleven
-                // (a thirteen-counter payload is never < 104, and
-                // eleven counters + a correlation id = 96, which still
-                // lands in this branch and leaves the id for the
-                // envelope); ≥ 64 means exactly the first eight (an
-                // eight-counter peer plus an id = 72; the only other
-                // way to reach 64 would be a five-counter peer
-                // appending a correlation id plus 16 junk bytes, which
-                // no peer emits); ≥ 40 means exactly the first five;
-                // ≥ 24 means exactly the first three (two-counter
-                // peers predate correlation ids, so 24 can never be
-                // two counters plus an id); ≥ 16 means the first two.
-                // Whatever is left after the counters (0 or 8 bytes)
-                // is handled by the envelope's correlation-id logic.
-                if d.remaining() >= 104 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                    m.sessions_evicted = d.u64()?;
-                    m.shards = d.u64()?;
-                    m.partial_frame_resumes = d.u64()?;
-                    m.sessions_replicated = d.u64()?;
-                    m.failovers = d.u64()?;
-                    m.replication_lag_hwm = d.u64()?;
-                    m.batch_ticks = d.u64()?;
-                    m.batch_sessions_hwm = d.u64()?;
-                    m.scalar_fallback_ticks = d.u64()?;
-                    m.recalibrations = d.u64()?;
-                    m.recalibrations_rejected = d.u64()?;
-                } else if d.remaining() >= 88 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                    m.sessions_evicted = d.u64()?;
-                    m.shards = d.u64()?;
-                    m.partial_frame_resumes = d.u64()?;
-                    m.sessions_replicated = d.u64()?;
-                    m.failovers = d.u64()?;
-                    m.replication_lag_hwm = d.u64()?;
-                    m.batch_ticks = d.u64()?;
-                    m.batch_sessions_hwm = d.u64()?;
-                    m.scalar_fallback_ticks = d.u64()?;
-                } else if d.remaining() >= 64 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                    m.sessions_evicted = d.u64()?;
-                    m.shards = d.u64()?;
-                    m.partial_frame_resumes = d.u64()?;
-                    m.sessions_replicated = d.u64()?;
-                    m.failovers = d.u64()?;
-                    m.replication_lag_hwm = d.u64()?;
-                } else if d.remaining() >= 40 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                    m.sessions_evicted = d.u64()?;
-                    m.shards = d.u64()?;
-                    m.partial_frame_resumes = d.u64()?;
-                } else if d.remaining() >= 24 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                    m.sessions_evicted = d.u64()?;
-                } else if d.remaining() >= 16 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                }
-                Frame::MetricsReply(m)
-            }
+            FRAME_METRICS_REPLY => Frame::MetricsReply(d.metrics()?),
             FRAME_SNAPSHOT_SESSION => Frame::SnapshotSession { session: d.u64()? },
             FRAME_SESSION_SNAPSHOT => Frame::SessionSnapshot {
                 session: d.u64()?,
                 state: d.session_state()?,
             },
             FRAME_RESTORE_SESSION => {
-                let mut spec = SessionSpec {
-                    model: d.u8()?,
-                    max_window: d.u32()?,
-                    min_window: d.u32()?,
-                    threshold: d.f64s()?,
-                    cache_capacity: d.u32()?,
-                    output_rows: 0,
-                    output_map: Vec::new(),
-                };
+                let mut spec = d.spec()?;
                 let state = d.session_state()?;
                 d.spec_extension(&mut spec)?;
                 Frame::RestoreSession { spec, state }
@@ -1621,15 +1570,7 @@ impl Frame {
             FRAME_REPLICATE_SNAPSHOT => {
                 let key = d.u64()?;
                 let generation = d.u64()?;
-                let mut spec = SessionSpec {
-                    model: d.u8()?,
-                    max_window: d.u32()?,
-                    min_window: d.u32()?,
-                    threshold: d.f64s()?,
-                    cache_capacity: d.u32()?,
-                    output_rows: 0,
-                    output_map: Vec::new(),
-                };
+                let mut spec = d.spec()?;
                 let state = d.session_state()?;
                 d.spec_extension(&mut spec)?;
                 Frame::ReplicateSnapshot {
@@ -2157,8 +2098,8 @@ mod tests {
     fn strict_decode_rejects_correlation_ids() {
         // The strict decoder must not silently absorb the appended
         // correlation id. (Even on MetricsReply: the thirteen appended
-        // counters are consumed first by the `remaining >= 104` rule,
-        // which leaves the corr id as the trailing 8 bytes.)
+        // counters are consumed first, as the largest generation that
+        // fits, which leaves the corr id as the trailing 8 bytes.)
         for frame in sample_frames() {
             assert_eq!(
                 Frame::decode(&frame.encode_with_corr(Some(42))),
@@ -2406,6 +2347,197 @@ mod tests {
             panic!("full reply must decode");
         };
         assert_eq!(full, sample);
+    }
+
+    /// The sample [`WireMetrics`] and its encoding.
+    fn sample_metrics() -> (WireMetrics, Vec<u8>) {
+        let frame = sample_frames()
+            .into_iter()
+            .find(|f| matches!(f, Frame::MetricsReply(_)))
+            .unwrap();
+        let payload = frame.encode();
+        let Frame::MetricsReply(m) = frame else {
+            unreachable!()
+        };
+        (m, payload)
+    }
+
+    /// `m` with every appended counter after the first `keep` zeroed,
+    /// the fields listed here in wire order independently of the codec.
+    fn keep_appended(mut m: WireMetrics, keep: usize) -> WireMetrics {
+        let tail = [
+            &mut m.alloc_free_ticks,
+            &mut m.batched_deadline_queries,
+            &mut m.sessions_evicted,
+            &mut m.shards,
+            &mut m.partial_frame_resumes,
+            &mut m.sessions_replicated,
+            &mut m.failovers,
+            &mut m.replication_lag_hwm,
+            &mut m.batch_ticks,
+            &mut m.batch_sessions_hwm,
+            &mut m.scalar_fallback_ticks,
+            &mut m.recalibrations,
+            &mut m.recalibrations_rejected,
+        ];
+        for slot in tail.into_iter().skip(keep) {
+            *slot = 0;
+        }
+        m
+    }
+
+    /// FNV-1a over `bytes`: a literal digest for the golden encodings.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The wire bytes are frozen: every sample frame, plus the spec
+    /// frames carrying an output map and a recalibrated state, encodes
+    /// to exactly the bytes recorded here. Round trips cannot catch a
+    /// codec that reorders encode and decode together; this can.
+    #[test]
+    fn sample_encodings_match_the_golden_bytes() {
+        let spec = SessionSpec::model_defaults(3).with_output_map(1, vec![0.5, -0.0, 2.0]);
+        let mut frames = sample_frames();
+        frames.push(Frame::RestoreSession {
+            spec: spec.clone(),
+            state: sample_recalibrated_state(),
+        });
+        frames.push(Frame::ReplicateSnapshot {
+            key: 9,
+            generation: 4,
+            spec,
+            state: sample_recalibrated_state(),
+        });
+        let got: Vec<(usize, u64)> = frames
+            .iter()
+            .map(|f| {
+                let payload = f.encode();
+                (payload.len(), fnv1a(&payload))
+            })
+            .collect();
+        const GOLDEN: [(usize, u64); 22] = [
+            (25, 0x4e04_a82c_ec92_7684),
+            (26, 0x89ce_2560_3c99_36d8),
+            (104, 0xe5df_fac7_443f_1a8a),
+            (23, 0x66b3_13ee_d158_a4d8),
+            (99, 0xc72e_583c_dceb_0727),
+            (121, 0xe315_6c2a_3d79_ebe6),
+            (15, 0x479c_4a33_b3f1_d1db),
+            (15, 0xcb35_fe73_2813_63e2),
+            (7, 0xf8b6_4d86_8167_db50),
+            (275, 0xb1b9_1c4b_d657_f70d),
+            (15, 0x5ea0_51d0_bcae_568f),
+            (219, 0x9cdb_065f_a109_2d3e),
+            (228, 0xdf95_8dd2_210b_1601),
+            (49, 0x7bcf_aa0d_3df3_8d17),
+            (244, 0x3a6f_2707_6522_3dfc),
+            (23, 0xaf12_6cb6_427a_ed48),
+            (15, 0x06c0_8da2_b6f6_2a45),
+            (49, 0x9f50_716d_fe7f_9adc),
+            (79, 0x41d0_44aa_e44a_68b3),
+            (23, 0x5deb_1d55_3d82_5c0b),
+            (332, 0xbcc8_2ee8_15e9_470f),
+            (348, 0x2cf4_30cf_2067_fc1f),
+        ];
+        assert_eq!(got, GOLDEN);
+        // Header, six base counters, two latency summaries, five
+        // transport counters, thirteen appended counters.
+        const METRICS_REPLY: &str = concat!(
+            "4157534400010a",
+            "0000000000000003",
+            "00000000000003e8",
+            "00000000000003e6",
+            "0000000000000011",
+            "0000000000000002",
+            "0000000000000040",
+            "00000000000001904095ed0000000000010000000000000400000000000000000003",
+            "00000000000001904095ed00000000000100000000000004000100000000001000000000000000000003",
+            "00000000000001f4",
+            "00000000000001f3",
+            "0000000000000001",
+            "0000000000000004",
+            "0000000000000001",
+            "00000000000003b6",
+            "000000000000001f",
+            "0000000000000002",
+            "0000000000000004",
+            "0000000000000057",
+            "00000000000003e4",
+            "0000000000000001",
+            "0000000000000003",
+            "0000000000001004",
+            "0000000000000010",
+            "0000000000000009",
+            "0000000000000005",
+            "0000000000000002",
+        );
+        let hex: String = sample_metrics()
+            .1
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, METRICS_REPLY);
+    }
+
+    /// Every legacy `MetricsReply` generation that predates nothing but
+    /// counters still carries a correlation id: cut to `keep` appended
+    /// counters plus an 8-byte id, the reply decodes with the id intact
+    /// and the missing counters zeroed. A two-counter reply plus an id
+    /// is the documented exception (two-counter peers predate ids): its
+    /// 24 bytes read as three counters and no id.
+    #[test]
+    fn legacy_metrics_generations_keep_their_correlation_id() {
+        let (sample, payload) = sample_metrics();
+        let id = 0x0123_4567_89ab_cdef_u64;
+        let with_id = |keep: usize| {
+            let mut cut = payload[..payload.len() - 8 * (13 - keep)].to_vec();
+            cut.extend_from_slice(&id.to_be_bytes());
+            Frame::decode_enveloped(&cut).unwrap()
+        };
+        for keep in [0, 3, 5, 8, 11, 13] {
+            let env = with_id(keep);
+            assert_eq!(env.corr, Some(id), "keep {keep}");
+            assert_eq!(
+                env.frame,
+                Frame::MetricsReply(keep_appended(sample, keep)),
+                "keep {keep}"
+            );
+        }
+        let env = with_id(2);
+        assert_eq!(env.corr, None);
+        assert_eq!(
+            env.frame,
+            Frame::MetricsReply(WireMetrics {
+                sessions_evicted: id,
+                ..keep_appended(sample, 2)
+            })
+        );
+    }
+
+    /// The generation table's invariant: every generation from 3 up
+    /// sends correlation ids, so the 8 bytes of an id after `g`
+    /// counters must not read as a generation of `g + 1`. Generation 0
+    /// (the v1 body) also sends ids.
+    #[test]
+    fn generations_leave_room_for_a_correlation_id() {
+        let gens = WireMetrics::GENERATIONS;
+        assert!(gens.windows(2).all(|w| w[0] < w[1]), "ascending");
+        assert_eq!(
+            *gens.last().unwrap(),
+            WireMetrics::FIELDS.len() - WireMetrics::BASE,
+            "the newest generation writes every appended counter"
+        );
+        assert!(!gens.contains(&1));
+        // The 8·g size rule needs every appended field to be a u64.
+        assert!(WireMetrics::FIELDS[WireMetrics::BASE..]
+            .iter()
+            .all(|f| matches!(f, MetricField::Counter(_))));
+        for g in gens.into_iter().filter(|&g| g >= 3) {
+            assert!(!gens.contains(&(g + 1)), "generation {g}");
+        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! * a clean encode→decode→re-encode cycle is **byte-idempotent**
 //!   (bit patterns of float specials included — this is equality on
 //!   bytes, not on floats, so NaN payloads are covered too);
+//! * a `MetricsReply` cut back to any legacy generation, with or
+//!   without a correlation id, decodes with the id intact and the
+//!   counters that generation lacks reading zero;
 //! * decoding any mutant never panics, and whatever decodes `Ok` must
 //!   re-encode without panicking;
 //! * a declared length beyond the receiver's limit is rejected
@@ -37,8 +40,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use awsad_serve::client::Client;
 use awsad_serve::wire::{
-    read_envelope, Frame, SessionSpec, WireError, WireLatency, WireMetrics, WireOutcome,
-    WireRecalibration, WireSessionState, WireTick, DEFAULT_MAX_FRAME_LEN,
+    read_envelope, Frame, MetricField, SessionSpec, WireError, WireLatency, WireMetrics,
+    WireOutcome, WireRecalibration, WireSessionState, WireTick, DEFAULT_MAX_FRAME_LEN,
 };
 use rand::rngs::StdRng;
 use rand::RngExt as _;
@@ -81,6 +84,11 @@ fn arbitrary_f64(rng: &mut StdRng) -> f64 {
     }
 }
 
+/// `Some(f(rng))` half the time.
+fn maybe<T>(rng: &mut StdRng, f: impl FnOnce(&mut StdRng) -> T) -> Option<T> {
+    rng.random_bool(0.5).then(|| f(rng))
+}
+
 fn arbitrary_f64s(rng: &mut StdRng, max_len: usize) -> Vec<f64> {
     let len = rng.random_range(0..=max_len);
     (0..len).map(|_| arbitrary_f64(rng)).collect()
@@ -110,11 +118,7 @@ fn arbitrary_outcome(rng: &mut StdRng) -> WireOutcome {
         seq: rng.random_range(0..=u64::MAX),
         degraded: rng.random_bool(0.5),
         step: rng.random_range(0..=u64::MAX),
-        deadline: if rng.random_bool(0.5) {
-            Some(rng.random_range(0..=u64::MAX))
-        } else {
-            None
-        },
+        deadline: maybe(rng, |r| r.random_range(0..=u64::MAX)),
         window: rng.random_range(0..=u64::MAX),
         previous_window: rng.random_range(0..=u64::MAX),
         current_alarm: rng.random_bool(0.5),
@@ -151,49 +155,21 @@ fn arbitrary_latency(rng: &mut StdRng) -> WireLatency {
     WireLatency {
         count: rng.random_range(0..=u64::MAX),
         mean_ns: arbitrary_f64(rng),
-        p50_bound_ns: if rng.random_bool(0.5) {
-            Some(rng.random_range(0..=u64::MAX))
-        } else {
-            None
-        },
-        p99_bound_ns: if rng.random_bool(0.5) {
-            Some(rng.random_range(0..=u64::MAX))
-        } else {
-            None
-        },
+        p50_bound_ns: maybe(rng, |r| r.random_range(0..=u64::MAX)),
+        p99_bound_ns: maybe(rng, |r| r.random_range(0..=u64::MAX)),
         overflow: rng.random_range(0..=u64::MAX),
     }
 }
 
 fn arbitrary_metrics(rng: &mut StdRng) -> WireMetrics {
-    WireMetrics {
-        sessions_active: rng.random_range(0..=u64::MAX),
-        ticks_submitted: rng.random_range(0..=u64::MAX),
-        ticks_processed: rng.random_range(0..=u64::MAX),
-        alarms_raised: rng.random_range(0..=u64::MAX),
-        degraded_ticks: rng.random_range(0..=u64::MAX),
-        queue_depth_high_water: rng.random_range(0..=u64::MAX),
-        log_latency: arbitrary_latency(rng),
-        detect_latency: arbitrary_latency(rng),
-        frames_in: rng.random_range(0..=u64::MAX),
-        frames_out: rng.random_range(0..=u64::MAX),
-        decode_errors: rng.random_range(0..=u64::MAX),
-        connections_opened: rng.random_range(0..=u64::MAX),
-        connections_dropped: rng.random_range(0..=u64::MAX),
-        alloc_free_ticks: rng.random_range(0..=u64::MAX),
-        batched_deadline_queries: rng.random_range(0..=u64::MAX),
-        sessions_evicted: rng.random_range(0..=u64::MAX),
-        shards: rng.random_range(0..=u64::MAX),
-        partial_frame_resumes: rng.random_range(0..=u64::MAX),
-        sessions_replicated: rng.random_range(0..=u64::MAX),
-        failovers: rng.random_range(0..=u64::MAX),
-        replication_lag_hwm: rng.random_range(0..=u64::MAX),
-        batch_ticks: rng.random_range(0..=u64::MAX),
-        batch_sessions_hwm: rng.random_range(0..=u64::MAX),
-        scalar_fallback_ticks: rng.random_range(0..=u64::MAX),
-        recalibrations: rng.random_range(0..=u64::MAX),
-        recalibrations_rejected: rng.random_range(0..=u64::MAX),
+    let mut m = WireMetrics::default();
+    for field in WireMetrics::FIELDS {
+        match field {
+            MetricField::Counter(f) => *f(&mut m) = rng.random_range(0..=u64::MAX),
+            MetricField::Latency(f) => *f(&mut m) = arbitrary_latency(rng),
+        }
     }
+    m
 }
 
 /// A random recalibration block with wire-consistent dimensions (the
@@ -219,11 +195,7 @@ fn arbitrary_state(rng: &mut StdRng) -> WireSessionState {
             step: rng.random_range(0..=u64::MAX),
             estimate: arbitrary_f64s(rng, 4),
             input: arbitrary_f64s(rng, 2),
-            prediction: if rng.random_bool(0.5) {
-                Some(arbitrary_f64s(rng, 4))
-            } else {
-                None
-            },
+            prediction: maybe(rng, |r| arbitrary_f64s(r, 4)),
             residual: arbitrary_f64s(rng, 4),
         })
         .collect();
@@ -241,11 +213,7 @@ fn arbitrary_state(rng: &mut StdRng) -> WireSessionState {
         next_step: rng.random_range(0..=u64::MAX),
         next_seq: rng.random_range(0..=u64::MAX),
         entries,
-        recalibration: if rng.random_bool(0.5) {
-            Some(arbitrary_recalibration(rng))
-        } else {
-            None
-        },
+        recalibration: maybe(rng, arbitrary_recalibration),
     }
 }
 
@@ -343,11 +311,7 @@ pub fn arbitrary_frame(rng: &mut StdRng) -> Frame {
 
 /// A random correlation id (or none, for the legacy envelope shape).
 pub fn arbitrary_corr(rng: &mut StdRng) -> Option<u64> {
-    if rng.random_bool(0.5) {
-        Some(rng.random_range(0..=u64::MAX))
-    } else {
-        None
-    }
+    maybe(rng, |r| r.random_range(0..=u64::MAX))
 }
 
 /// Applies one structure-aware mutation to an encoded payload and
@@ -421,6 +385,47 @@ pub fn mutate(rng: &mut StdRng, payload: &mut Vec<u8>) -> String {
     }
 }
 
+/// Cuts `m`'s reply back to a random legacy generation (the v1 body,
+/// or any of [`WireMetrics::GENERATIONS`]), with or without a
+/// correlation id, and checks that it decodes with the id intact, the
+/// kept counters intact and the rest zero.
+fn check_legacy_generation(rng: &mut StdRng, m: &WireMetrics) -> Result<(), FuzzViolation> {
+    let gens = WireMetrics::GENERATIONS;
+    let keep = match rng.random_range(0..=gens.len()) {
+        0 => 0,
+        i => gens[i - 1],
+    };
+    // An id after `keep` counters would read as one more counter when
+    // `keep + 1` is a generation; those peers predate ids.
+    let corr = if gens.contains(&(keep + 1)) {
+        None
+    } else {
+        arbitrary_corr(rng)
+    };
+    let full = Frame::MetricsReply(*m).encode();
+    let dropped = WireMetrics::FIELDS.len() - WireMetrics::BASE - keep;
+    let mut cut = full[..full.len() - 8 * dropped].to_vec();
+    if let Some(id) = corr {
+        cut.extend_from_slice(&id.to_be_bytes());
+    }
+    let mut want = *m;
+    for field in &WireMetrics::FIELDS[WireMetrics::BASE + keep..] {
+        if let MetricField::Counter(f) = field {
+            *f(&mut want) = 0;
+        }
+    }
+    // Compared as bytes: the latency means may be NaN.
+    match Frame::decode_enveloped(&cut) {
+        Ok(env) if env.corr == corr && env.frame.encode() == Frame::MetricsReply(want).encode() => {
+            Ok(())
+        }
+        other => Err(FuzzViolation {
+            property: "legacy-metrics-generation",
+            detail: format!("{keep} appended counters, corr {corr:?}: decoded {other:?}"),
+        }),
+    }
+}
+
 fn decode_both(payload: &[u8]) -> Result<(), String> {
     let strict = catch_unwind(AssertUnwindSafe(|| Frame::decode(payload)));
     if strict.is_err() {
@@ -472,6 +477,9 @@ pub fn fuzz_frame_once(rng: &mut StdRng) -> Result<(), FuzzViolation> {
                 bytes.len()
             ),
         });
+    }
+    if let Frame::MetricsReply(m) = &frame {
+        check_legacy_generation(rng, m)?;
     }
 
     let mut mutant = bytes;
